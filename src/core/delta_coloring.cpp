@@ -43,6 +43,7 @@ std::pair<std::vector<int>, int> delta_plus_one_stage(const Graph& g, const VarA
 // first (depth 2). Deterministic, shared by encoder and decoder.
 int local_fix_uncolored(const Graph& g, int delta, std::vector<int>& psi, int passes) {
   int rounds = 0;
+  BoundedBfs search(g);
   for (int pass = 0; pass < passes; ++pass) {
     std::vector<int> uncolored;
     for (int v = 0; v < g.n(); ++v) {
@@ -54,7 +55,7 @@ int local_fix_uncolored(const Graph& g, int delta, std::vector<int>& psi, int pa
     for (const int u : uncolored) is_unc[u] = 1;
     for (const int u : uncolored) {
       bool eligible = true;
-      for (const int w : ball_nodes(g, u, 6)) {
+      for (const int w : search.run(u, {}, 6)) {
         if (w != u && is_unc[w] && g.id(w) < g.id(u)) eligible = false;
       }
       if (!eligible) continue;
@@ -151,14 +152,18 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
   if (num_repairs != nullptr) *num_repairs = 0;
   if (uncolored.empty()) return 0;
 
+  BoundedBfs search(g);
+
   for (int radius = params.repair_radius; radius <= params.max_repair_radius + 1; ++radius) {
     LAD_CHECK_MSG(radius <= params.max_repair_radius,
                   "Δ-coloring repair failed up to max_repair_radius; "
                   "increase the budget or use a roomier instance");
     // Group uncolored nodes whose radius-R regions could interact; each
-    // group is repaired as one region.
+    // group is repaired as one region. group_of: -2 = colored, -1 =
+    // uncolored and not yet grouped, else the group id.
     const int join = 2 * radius + 3;
-    std::vector<int> group_of(static_cast<std::size_t>(g.n()), -1);
+    std::vector<int> group_of(static_cast<std::size_t>(g.n()), -2);
+    for (const int u : uncolored) group_of[u] = -1;
     std::vector<std::vector<int>> groups;
     for (const int u : uncolored) {
       if (group_of[u] != -1) continue;
@@ -170,9 +175,8 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
         const int x = stack.back();
         stack.pop_back();
         groups[static_cast<std::size_t>(gi)].push_back(x);
-        const auto dist = bfs_distances(g, x, {}, join);
-        for (const int y : uncolored) {
-          if (group_of[y] == -1 && dist[y] != kUnreachable) {
+        for (const int y : search.run(x, {}, join)) {
+          if (group_of[y] == -1) {
             group_of[y] = gi;
             stack.push_back(y);
           }
@@ -186,7 +190,7 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
     for (std::size_t gi = 0; gi < groups.size() && all_ok; ++gi) {
       std::set<int> region_set;
       for (const int u : groups[gi]) {
-        for (const int w : ball_nodes(g, u, radius)) region_set.insert(w);
+        for (const int w : search.run(u, {}, radius)) region_set.insert(w);
       }
       std::vector<int> region(region_set.begin(), region_set.end());
       std::set<int> check_set = region_set;

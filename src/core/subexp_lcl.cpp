@@ -355,14 +355,13 @@ SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
   // Cluster formation + path encoding, phase by phase.
   std::vector<Cluster> clusters;
   NodeMask unassigned(static_cast<std::size_t>(g.n()), 1);
+  BoundedBfs search(g);
   for (int color = 1; color <= enc.num_phase_colors; ++color) {
     std::vector<Cluster> found;
     for (int v = 0; v < g.n(); ++v) {
       if (!unassigned[v] || colors[v] != color) continue;
-      const auto dist = bfs_distances(g, v, unassigned, 2 * x);
-      bool has_far = false;
-      for (int u = 0; u < g.n(); ++u) has_far = has_far || dist[u] == 2 * x;
-      if (!has_far) continue;
+      search.run(v, unassigned, 2 * x);
+      if (search.depth() != 2 * x) continue;  // no node at distance 2x
       Cluster c;
       c.center = v;
       c.color = color;
@@ -394,8 +393,9 @@ SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
   {
     const auto comps = connected_components(g, unassigned);
     for (const auto& members : comps.members) {
-      const int diam = component_diameter(g, members.front(), unassigned);
-      LAD_CHECK_MSG(diam <= 2 * x, "residual component of diameter " << diam << " > 2x");
+      LAD_CHECK_MSG(!search.diameter_exceeds(members.front(), 2 * x, unassigned),
+                    "residual component of diameter "
+                        << component_diameter(g, members.front(), unassigned) << " > 2x");
     }
   }
 

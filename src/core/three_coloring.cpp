@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 
 #include "graph/checkers.hpp"
@@ -33,11 +34,14 @@ bool share_color1_neighbor(const Graph& g, const std::vector<int>& phi, int a, i
 
 // Lemma 7.2 selection: within C-distance `radius` of `from`, find either a
 // node w with >= 2 color-1 neighbors, or an adjacent (in C) pair {x, y}
-// with no common color-1 neighbor. `eligible` filters candidates.
-std::optional<Half> select_half(const Graph& g, const std::vector<int>& phi,
+// with no common color-1 neighbor. `eligible` filters candidates and must
+// not run `search`.
+std::optional<Half> select_half(BoundedBfs& search, const std::vector<int>& phi,
                                 const NodeMask& comp_mask, int from, int radius,
                                 const std::function<bool(const Half&)>& eligible) {
-  const auto near = ball_nodes(g, from, radius, comp_mask);
+  const Graph& g = search.graph();
+  search.run(from, comp_mask, radius);
+  const auto& near = search.sort_layers();
   for (const int w : near) {
     if (color1_neighbor_count(g, phi, w) >= 2) {
       Half h = {w};
@@ -139,20 +143,29 @@ ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
   std::vector<int> c1_load(static_cast<std::size_t>(g.n()), 0);
   std::vector<char> in_group(static_cast<std::size_t>(g.n()), 0);
 
+  // A search inside mask23 that starts in a component never leaves it, so
+  // mask23 serves as every component's mask, and two reused searches keep
+  // each component's cost at O(its nodes and edges), not O(n).
+  BoundedBfs ball_search(g);  // diameters, anchors and candidate halves
+  // The group radius around the ruling node r; allocated for the first
+  // large component, as idle n-sized scratch still raises peak memory.
+  std::optional<BoundedBfs> group_search;
+
   for (int c = 0; c < comps.count(); ++c) {
     const auto& members = comps.members[c];
-    const auto cmask = component_mask(g, comps, c);
-    const int diam = component_diameter(g, members.front(), cmask);
-    if (diam <= d.large_component_diameter) continue;  // small: no advice
+    if (!ball_search.diameter_exceeds(members.front(), d.large_component_diameter, mask23)) {
+      continue;  // small: no advice
+    }
 
-    const auto rc = ruling_set(g, d.ruling_alpha, members, cmask);
+    if (!group_search) group_search.emplace(g);
+    const auto rc = ruling_set(g, d.ruling_alpha, members, mask23);
     for (const int r : rc) {
       // Eligibility: members must be fresh, keep every adjacent color-1
       // node's load at <= 1, and stay inside the group radius of r.
-      const auto rdist = bfs_distances(g, r, cmask, d.group_radius);
+      group_search->run(r, mask23, d.group_radius);
       auto fresh = [&](const Half& h, const std::vector<int>& forbidden) {
         for (const int v : h) {
-          if (in_group[v] || rdist[v] == kUnreachable) return false;
+          if (in_group[v] || !group_search->reached(v)) return false;
           for (const int f : forbidden) {
             // Keep halves at G-distance >= 3: no adjacency, no common
             // neighbor of any color.
@@ -171,14 +184,15 @@ ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
       };
 
       std::optional<Group> group;
-      const auto anchors = ball_nodes(g, r, d.candidate_radius, cmask);
+      ball_search.run(r, mask23, d.candidate_radius);
+      const std::vector<int> anchors = ball_search.sort_layers();
       int tries = 0;
       for (const int v : anchors) {
         if (++tries > params.max_candidate_tries) break;
-        auto s = select_half(g, phi, cmask, v, d.candidate_radius,
+        auto s = select_half(ball_search, phi, mask23, v, d.candidate_radius,
                              [&](const Half& h) { return fresh(h, {}); });
         if (!s) continue;
-        auto s2 = select_half(g, phi, cmask, v, d.candidate_radius,
+        auto s2 = select_half(ball_search, phi, mask23, v, d.candidate_radius,
                               [&](const Half& h) { return fresh(h, *s); });
         if (!s2) continue;
         group = Group{*s, *s2};
@@ -275,9 +289,55 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
 
   const auto comps = connected_components(g, mask23);
   const int collect_radius = 2 * d.group_radius;
+  // As in the encoder, mask23 is every component's mask: a search that
+  // starts in a component never leaves it. Per-node work stays
+  // O(ball size): `search` serves the per-component and per-node searches,
+  // `group_search` keeps a component's distances to its groups, and the
+  // group around each nearest group node t0 is read once. The group state
+  // is allocated for the first large component, as idle n-sized scratch
+  // still raises peak memory.
+  BoundedBfs search(g);
+  std::optional<BoundedBfs> group_search;
+  struct GroupRead {
+    int s = -1;  // smallest-ID group node visible from t0; -1 = not read yet
+    int comps = 0;
+  };
+  std::vector<GroupRead> group_read;
+  std::vector<char> in_grp;
+  std::vector<char> seen;
+  const auto read_group = [&](int t0) {
+    // Collect the group around t0 and count its components (groups have
+    // halves of size 1 or 2); the scratch is cleared for the next read.
+    std::vector<int> grp;
+    for (const int u : search.run(t0, mask23, collect_radius)) {
+      if (type[u] == 2) grp.push_back(u);
+    }
+    for (const int u : grp) in_grp[u] = 1;
+    GroupRead read;
+    for (const int u : grp) {
+      if (seen[u]) continue;
+      ++read.comps;
+      std::vector<int> stack = {u};
+      seen[u] = 1;
+      while (!stack.empty()) {
+        const int x = stack.back();
+        stack.pop_back();
+        for (const int y : g.neighbors(x)) {
+          if (in_grp[y] && !seen[y]) {
+            seen[y] = 1;
+            stack.push_back(y);
+          }
+        }
+      }
+    }
+    for (const int u : grp) in_grp[u] = seen[u] = 0;
+    read.s = *std::min_element(grp.begin(), grp.end(),
+                               [&](int a, int b) { return g.id(a) < g.id(b); });
+    return read;
+  };
+
   for (int c = 0; c < comps.count(); ++c) {
     const auto& members = comps.members[c];
-    const auto cmask = component_mask(g, comps, c);
 
     // Does this component contain any type-23 bit?
     std::vector<int> group_nodes;
@@ -292,14 +352,21 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
         const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
           return g.id(a) < g.id(b);
         });
-        const auto dist = bfs_distances(g, root, cmask);
+        search.run(root, mask23);
         int ecc = 0;
         for (const int v : members) {
-          LAD_CHECK_MSG(dist[v] != kUnreachable, "component disconnected under mask");
-          res.coloring[v] = dist[v] % 2 == 0 ? 2 : 3;
-          ecc = std::max(ecc, dist[v]);
+          LAD_CHECK_MSG(search.reached(v), "component disconnected under mask");
+          res.coloring[v] = search.dist(v) % 2 == 0 ? 2 : 3;
+          ecc = std::max(ecc, search.dist(v));
         }
-        LAD_CHECK_MSG(is_bipartite(g, cmask), "advice inconsistent: G_{2,3} not bipartite");
+        // Bipartite iff no edge joins two nodes of one BFS layer.
+        bool bipartite = true;
+        for (const int v : members) {
+          for (const int u : g.neighbors(v)) {
+            if (mask23[u] && search.dist(u) == search.dist(v)) bipartite = false;
+          }
+        }
+        LAD_CHECK_MSG(bipartite, "advice inconsistent: G_{2,3} not bipartite");
         rounds = std::max(rounds, 2 * ecc + 1);
       });
       continue;
@@ -308,62 +375,40 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
     // Large component: every node finds the nearest group, counts its
     // connected components, and 2-colors by parity from the group's
     // smallest-ID visible node s.
-    const auto gdist = bfs_distances_multi(g, group_nodes, cmask);
+    if (!group_search) {
+      group_search.emplace(g);
+      group_read.resize(static_cast<std::size_t>(g.n()));
+      in_grp.assign(static_cast<std::size_t>(g.n()), 0);
+      seen.assign(static_cast<std::size_t>(g.n()), 0);
+    }
+    group_search->run(group_nodes, mask23);
     for (const int v : members) {
       contain({v}, [&] {
-      LAD_CHECK_MSG(gdist[v] != kUnreachable && gdist[v] <= d.reach + collect_radius,
+      const int gdist = group_search->dist(v);
+      LAD_CHECK_MSG(gdist != kUnreachable && gdist <= d.reach + collect_radius,
                     "node " << g.id(v) << " cannot reach a parity group");
       // Nearest group node t0.
-      int t0 = -1;
-      {
-        int cur = v;
-        while (type[cur] != 2) {
-          for (const int u : g.neighbors(cur)) {
-            if (cmask[u] && gdist[u] == gdist[cur] - 1) {
-              cur = u;
-              break;
-            }
-          }
-        }
-        t0 = cur;
-      }
-      // Collect the group around t0 and count its components.
-      const auto near = ball_nodes(g, t0, collect_radius, cmask);
-      std::vector<int> grp;
-      for (const int u : near) {
-        if (type[u] == 2) grp.push_back(u);
-      }
-      // Component count within grp (groups have halves of size 1 or 2).
-      std::vector<char> in_grp(static_cast<std::size_t>(g.n()), 0);
-      for (const int u : grp) in_grp[u] = 1;
-      int comps_in_group = 0;
-      std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-      for (const int u : grp) {
-        if (seen[u]) continue;
-        ++comps_in_group;
-        std::vector<int> stack = {u};
-        seen[u] = 1;
-        while (!stack.empty()) {
-          const int x = stack.back();
-          stack.pop_back();
-          for (const int y : g.neighbors(x)) {
-            if (in_grp[y] && !seen[y]) {
-              seen[y] = 1;
-              stack.push_back(y);
-            }
+      int t0 = v;
+      while (type[t0] != 2) {
+        for (const int u : g.neighbors(t0)) {
+          if (mask23[u] && group_search->dist(u) == group_search->dist(t0) - 1) {
+            t0 = u;
+            break;
           }
         }
       }
-      LAD_CHECK_MSG(comps_in_group == 1 || comps_in_group == 2,
+      auto& read = group_read[static_cast<std::size_t>(t0)];
+      if (read.s < 0) read = read_group(t0);
+      LAD_CHECK_MSG(read.comps == 1 || read.comps == 2,
                     "malformed parity group near " << g.id(t0));
-      const int s = *std::min_element(grp.begin(), grp.end(), [&](int a, int b) {
-        return g.id(a) < g.id(b);
-      });
-      const int phi_s = comps_in_group == 1 ? 2 : 3;
-      const int dvs = distance(g, v, s, cmask);
+      const int phi_s = read.comps == 1 ? 2 : 3;
+      // s lies within collect_radius of t0, so within gdist + collect_radius
+      // of v: a search capped there and stopped at s finds d(v, s).
+      search.run(v, mask23, gdist + collect_radius, read.s);
+      const int dvs = search.dist(read.s);
       LAD_CHECK(dvs != kUnreachable);
       res.coloring[v] = dvs % 2 == 0 ? phi_s : 5 - phi_s;
-      rounds = std::max(rounds, gdist[v] + 2 * collect_radius + 1);
+      rounds = std::max(rounds, gdist + 2 * collect_radius + 1);
       });
     }
   }

@@ -30,10 +30,4 @@ Components connected_components(const Graph& g, const NodeMask& mask) {
   return out;
 }
 
-NodeMask component_mask(const Graph& g, const Components& comps, int c) {
-  NodeMask mask(static_cast<std::size_t>(g.n()), 0);
-  for (const int v : comps.members[c]) mask[v] = 1;
-  return mask;
-}
-
 }  // namespace lad

@@ -21,7 +21,4 @@ struct Components {
 /// the mask is empty).
 Components connected_components(const Graph& g, const NodeMask& mask = {});
 
-/// Mask covering exactly one component.
-NodeMask component_mask(const Graph& g, const Components& comps, int c);
-
 }  // namespace lad

@@ -14,9 +14,10 @@ std::vector<int> distance_coloring(const Graph& g, int d, const NodeMask& mask) 
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) { return g.id(a) < g.id(b); });
 
+  BoundedBfs search(g);
   for (const int v : order) {
     std::set<int> used;
-    for (const int u : ball_nodes(g, v, d, mask)) {
+    for (const int u : search.run(v, mask, d)) {
       if (u != v && colors[u] > 0) used.insert(colors[u]);
     }
     int c = 1;
@@ -28,10 +29,11 @@ std::vector<int> distance_coloring(const Graph& g, int d, const NodeMask& mask) 
 
 bool is_distance_coloring(const Graph& g, const std::vector<int>& colors, int d,
                           const NodeMask& mask) {
+  BoundedBfs search(g);
   for (int v = 0; v < g.n(); ++v) {
     if (!mask.empty() && !mask[v]) continue;
     if (colors[v] <= 0) return false;
-    for (const int u : ball_nodes(g, v, d, mask)) {
+    for (const int u : search.run(v, mask, d)) {
       if (u != v && colors[u] == colors[v]) return false;
     }
   }

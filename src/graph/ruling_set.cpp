@@ -13,28 +13,29 @@ std::vector<int> ruling_set(const Graph& g, int alpha, std::span<const int> cand
   std::vector<int> chosen;
   // blocked[v] == 1 when v is within distance < alpha of a chosen node.
   std::vector<char> blocked(static_cast<std::size_t>(g.n()), 0);
+  BoundedBfs search(g);
   for (const int v : order) {
     LAD_CHECK_MSG(mask.empty() || mask[v], "ruling-set candidate outside mask");
     if (blocked[v]) continue;
     chosen.push_back(v);
-    const auto near = ball_nodes(g, v, alpha - 1, mask);
-    for (const int u : near) blocked[u] = 1;
+    for (const int u : search.run(v, mask, alpha - 1)) blocked[u] = 1;
   }
   return chosen;
 }
 
 bool is_ruling_set(const Graph& g, const std::vector<int>& s, int alpha, int beta,
                    std::span<const int> candidates, const NodeMask& mask) {
+  BoundedBfs search(g);
   for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto dist = bfs_distances(g, s[i], mask, alpha - 1);
+    search.run(s[i], mask, alpha - 1);
     for (std::size_t j = 0; j < s.size(); ++j) {
-      if (i != j && dist[s[j]] != kUnreachable) return false;
+      if (i != j && search.reached(s[j])) return false;
     }
   }
   if (s.empty()) return candidates.empty();
-  const auto dom = bfs_distances_multi(g, s, mask, beta);
+  search.run(s, mask, beta);
   for (const int v : candidates) {
-    if (dom[v] == kUnreachable) return false;
+    if (!search.reached(v)) return false;
   }
   return true;
 }

@@ -3,27 +3,33 @@
 namespace lad {
 
 Ball extract_ball(const Graph& g, int center, int radius, const NodeMask& mask) {
+  BoundedBfs search(g);
+  return extract_ball(search, center, radius, mask);
+}
+
+Ball extract_ball(BoundedBfs& search, int center, int radius, const NodeMask& mask) {
+  const Graph& g = search.graph();
   LAD_CHECK(radius >= 0);
   LAD_CHECK(center >= 0 && center < g.n());
   Ball b;
   b.radius = radius;
-  const auto nodes = ball_nodes(g, center, radius, mask);
-  const auto dist = bfs_distances(g, center, mask, radius);
+  search.run(center, mask, radius);
+  // In ball_nodes order, a node's ball index is its slot in the search.
+  const auto& nodes = search.sort_layers();
 
   Graph::Builder builder;
-  std::vector<int> ball_ix(static_cast<std::size_t>(g.n()), -1);
   for (const int v : nodes) {
-    ball_ix[v] = builder.add_node(g.id(v));
+    builder.add_node(g.id(v));
     b.to_parent.push_back(v);
-    b.dist.push_back(dist[v]);
+    b.dist.push_back(search.dist(v));
   }
   for (const int v : nodes) {
     for (const int u : g.neighbors(v)) {
-      if (ball_ix[u] >= 0 && v < u) builder.add_edge(ball_ix[v], ball_ix[u]);
+      if (search.reached(u) && v < u) builder.add_edge(search.slot(v), search.slot(u));
     }
   }
   b.graph = std::move(builder).build();
-  b.center = ball_ix[center];
+  b.center = search.slot(center);
   return b;
 }
 

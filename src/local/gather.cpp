@@ -160,8 +160,8 @@ CanonicalViews gather_canonical_views(const Graph& g, int radius, const std::vec
   // Canonicalization is per-node work on per-node slots; interning stays
   // serial in node order so class ids never depend on the thread count.
   std::vector<std::string> keys(static_cast<std::size_t>(g.n()));
-  auto canon = [&](int v) {
-    const Ball ball = extract_ball(g, v, radius);
+  auto canon = [&](BoundedBfs& search, int v) {
+    const Ball ball = extract_ball(search, v, radius);
     std::vector<int> ball_labels;
     if (!labels.empty()) {
       ball_labels.reserve(ball.to_parent.size());
@@ -172,10 +172,15 @@ CanonicalViews gather_canonical_views(const Graph& g, int radius, const std::vec
     keys[static_cast<std::size_t>(v)] =
         canonical_view(ball.graph, ball.graph.nodes_by_id(), ball.center, ball_labels);
   };
+  // One search per chunk: chunks run on different workers.
+  auto canon_range = [&](int begin, int end, int /*chunk*/) {
+    BoundedBfs search(g);
+    for (int v = begin; v < end; ++v) canon(search, v);
+  };
   if (pool != nullptr && pool->threads() > 1) {
-    pool->for_each(g.n(), canon);
+    pool->parallel_for(g.n(), canon_range);
   } else {
-    for (int v = 0; v < g.n(); ++v) canon(v);
+    canon_range(0, g.n(), 0);
   }
 
   CanonicalViews views;

@@ -10,8 +10,12 @@
 // results, and gather_canonical_views adds the §8 order-invariance memo: a
 // cache keyed by the canonical form of each ball, so any view-based decoder
 // that is order-invariant needs to be evaluated once per *distinct* view
-// instead of once per node (on structured families — cycles, grids, tori —
-// the distinct-view count is O(1), not O(n)).
+// instead of once per node. The key includes the relative ID order inside
+// the ball, so the distinct-view count is O(1) on structured families
+// (cycles, grids, tori) only when that order repeats from ball to ball, as
+// with sequential IDs. With random IDs it grows with n until the ID orders
+// of a ball are exhausted: at radius 3, torus:64x64 gives 4047 memo hits
+// out of 4096 with sequential IDs and 0 with random dense IDs.
 #pragma once
 
 #include <string>

@@ -32,14 +32,5 @@ TEST(Components, Masked) {
   EXPECT_NE(c.comp_of[2], c.comp_of[4]);
 }
 
-TEST(Components, ComponentMask) {
-  const Graph g = disjoint_union({make_path(3), make_path(2)});
-  const auto c = connected_components(g);
-  const auto mask = component_mask(g, c, 0);
-  int covered = 0;
-  for (const char b : mask) covered += b ? 1 : 0;
-  EXPECT_EQ(covered, static_cast<int>(c.members[0].size()));
-}
-
 }  // namespace
 }  // namespace lad

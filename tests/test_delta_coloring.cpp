@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "advice/advice.hpp"
 #include "core/delta_coloring.hpp"
 #include "graph/checkers.hpp"
 #include "graph/generators.hpp"
+#include "util/hashing.hpp"
 
 namespace lad {
 namespace {
@@ -112,6 +115,74 @@ TEST_P(DeltaSweep, PlantedFamilies) {
 INSTANTIATE_TEST_SUITE_P(Sweep, DeltaSweep,
                          ::testing::Combine(::testing::Values(4, 5, 6, 8),
                                             ::testing::Values(31, 32, 33)));
+
+// Byte-identity pins: the packed advice, the decoded coloring and the round
+// and repair counts of each instance fold into one splitmix64 digest. The
+// expected values were recorded before the traversal primitives became
+// output-sensitive; any change to them is a change of output.
+struct PinnedCase {
+  const char* family;
+  int size;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+TEST(DeltaColoring, PinnedDigests) {
+  const PinnedCase cases[] = {
+      {"grid", 16, 1, 0x38c041c4538b56eeULL},
+      {"grid", 16, 2, 0x99135c92c6c13812ULL},
+      {"grid", 16, 3, 0x6f460b261607dafcULL},
+      {"grid", 48, 1, 0xfd905f10a2ccfdfeULL},
+      {"grid", 48, 2, 0xe4315de8c41a5a10ULL},
+      {"grid", 48, 3, 0x5133f1c9dc2aeb58ULL},
+      {"ladder", 100, 1, 0xd9ac903df066dff1ULL},
+      {"ladder", 100, 2, 0xb42345b01eb076a4ULL},
+      {"ladder", 100, 3, 0x369697a75f27695fULL},
+      {"ladder", 600, 1, 0x8a0b2f4c14c17d1eULL},
+      {"ladder", 600, 2, 0xe74f2148c0349ec2ULL},
+      {"ladder", 600, 3, 0xf490d610904e51fdULL},
+      {"planted", 300, 1, 0x3a4da875aa1c4f5eULL},
+      {"planted", 300, 2, 0x9036e480244977c0ULL},
+      {"planted", 300, 3, 0x21aaee93d17dbd56ULL},
+      {"planted", 900, 1, 0x807efc5cd3a013dfULL},
+      {"planted", 900, 2, 0x6cebaa0c208ae6d4ULL},
+      {"planted", 900, 3, 0xa96264a11d232cc1ULL},
+  };
+  int repaired_instances = 0;
+  for (const auto& c : cases) {
+    const std::string family = c.family;
+    Graph g;
+    std::vector<int> witness;
+    if (family == "grid") {
+      g = make_grid(c.size, c.size, IdMode::kRandomDense, c.seed);
+      for (int v = 0; v < g.n(); ++v) witness.push_back(1 + ((v % c.size) + (v / c.size)) % 2);
+    } else if (family == "ladder") {
+      g = make_circular_ladder(c.size, IdMode::kRandomDense, c.seed);
+      for (int i = 0; i < c.size; ++i) witness.push_back(1 + i % 2);
+      for (int i = 0; i < c.size; ++i) witness.push_back(2 - i % 2);
+    } else {
+      auto pc = make_planted_colorable(c.size, 4, 3.0, 4, c.seed);
+      g = std::move(pc.graph);
+      witness = std::move(pc.coloring);
+    }
+    const auto enc = encode_delta_coloring_advice(g, witness);
+    const auto dec = decode_delta_coloring(g, enc.advice);
+    EXPECT_TRUE(is_proper_coloring(g, dec.coloring, std::max(2, g.max_degree())));
+    repaired_instances += enc.num_repairs > 0 ? 1 : 0;
+    std::uint64_t h = 0;
+    const auto fold = [&h](std::int64_t x) { h = hash2(h, static_cast<std::uint64_t>(x)); };
+    fold(enc.num_clusters);
+    fold(enc.num_repairs);
+    for (const auto& [node, bits] : pack_var_advice(enc.advice)) {
+      fold(node);
+      for (int i = 0; i < bits.size(); ++i) fold(bits.bit(i));
+    }
+    for (const int col : dec.coloring) fold(col);
+    fold(dec.rounds);
+    EXPECT_EQ(h, c.digest) << family << " size " << c.size << " seed " << c.seed;
+  }
+  EXPECT_GT(repaired_instances, 0);  // the stage-3 grouping loop ran
+}
 
 }  // namespace
 }  // namespace lad

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "advice/advice.hpp"
 #include "core/three_coloring.hpp"
 #include "graph/checkers.hpp"
 #include "graph/generators.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/solver.hpp"
+#include "util/hashing.hpp"
 
 namespace lad {
 namespace {
@@ -156,6 +159,139 @@ TEST_P(ThreeColoringSweep, PlantedSeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreeColoringSweep, ::testing::Values(21, 22, 23, 24, 25));
+
+// Byte-identity pins: the advice bits, the decoded coloring and the round
+// count of each instance fold into one splitmix64 digest. The expected
+// values were recorded before the traversal primitives became
+// output-sensitive; any change to them is a change of output.
+struct Fold {
+  std::uint64_t h = 0;
+  void add(std::int64_t x) { h = hash2(h, static_cast<std::uint64_t>(x)); }
+};
+
+struct Instance {
+  Graph graph;
+  std::vector<int> witness;
+};
+
+Instance make_pinned_instance(const std::string& family, int size, std::uint64_t seed) {
+  if (family == "grid") {
+    Instance in{make_grid(size, size, IdMode::kRandomDense, seed), {}};
+    for (int v = 0; v < in.graph.n(); ++v) in.witness.push_back(1 + ((v % size) + (v / size)) % 2);
+    return in;
+  }
+  if (family == "grid3") {  // proper but not greedy: 1 + (x + 2y) mod 3
+    Instance in{make_grid(size, size, IdMode::kRandomDense, seed), {}};
+    for (int v = 0; v < in.graph.n(); ++v) in.witness.push_back(1 + ((v % size) + 2 * (v / size)) % 3);
+    return in;
+  }
+  if (family == "cycle") {  // odd: one node of color 3
+    Instance in{make_cycle(size, IdMode::kRandomDense, seed), {}};
+    for (int v = 0; v + 1 < size; ++v) in.witness.push_back(1 + v % 2);
+    in.witness.push_back(3);
+    return in;
+  }
+  if (family == "planted") {
+    auto pc = make_planted_colorable(size, 3, 2.4, 5, seed);
+    return {std::move(pc.graph), std::move(pc.coloring)};
+  }
+  if (family == "caterpillar") {
+    auto pc = make_planted_caterpillar(size, seed);
+    return {std::move(pc.graph), std::move(pc.coloring)};
+  }
+  Instance in{make_circular_ladder(size, IdMode::kRandomDense, seed), {}};
+  for (int i = 0; i < size; ++i) in.witness.push_back(1 + i % 2);
+  for (int i = 0; i < size; ++i) in.witness.push_back(2 - i % 2);
+  return in;
+}
+
+struct PinnedCase {
+  const char* family;
+  int size;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+TEST(ThreeColoring, PinnedDigests) {
+  const PinnedCase cases[] = {
+      {"grid", 16, 1, 0x3e28a7e9804d0636ULL},
+      {"grid", 16, 2, 0x3e28a7e9804d0636ULL},
+      {"grid", 16, 3, 0x3e28a7e9804d0636ULL},
+      {"grid", 64, 1, 0x3f282cb0967a8653ULL},
+      {"grid", 64, 2, 0x3f282cb0967a8653ULL},
+      {"grid", 64, 3, 0x3f282cb0967a8653ULL},
+      {"grid3", 24, 1, 0xfd04ccadbfeb8ca5ULL},
+      {"grid3", 24, 2, 0xc7e0a847c6733ff0ULL},
+      {"grid3", 24, 3, 0xb52a7d15a00343f2ULL},
+      {"grid3", 48, 1, 0x11783764687f9156ULL},
+      {"grid3", 48, 2, 0x56fd5d021cee7d18ULL},
+      {"grid3", 48, 3, 0x8f76e304abca86f7ULL},
+      {"cycle", 101, 1, 0xfa180c9ed1f8f91eULL},
+      {"cycle", 101, 2, 0x2384d912f4f1c9f7ULL},
+      {"cycle", 101, 3, 0x2384d912f4f1c9f7ULL},
+      {"cycle", 1601, 1, 0xbc3fc564da9401f1ULL},
+      {"cycle", 1601, 2, 0x8cc5bfc7baf2113cULL},
+      {"cycle", 1601, 3, 0x8cc5bfc7baf2113cULL},
+      {"planted", 300, 1, 0x4c242217044d919cULL},
+      {"planted", 300, 2, 0xfb384838f7106173ULL},
+      {"planted", 300, 3, 0xd3d7b24bcb035dc5ULL},
+      {"planted", 1200, 1, 0x058a53e7db20d234ULL},
+      {"planted", 1200, 2, 0x26f8817b5b9b7831ULL},
+      {"planted", 1200, 3, 0x69b12bd0f96ddff5ULL},
+      {"caterpillar", 300, 1, 0xff7b7247ff9bc454ULL},
+      {"caterpillar", 300, 2, 0x359718dbaca00ef7ULL},
+      {"caterpillar", 300, 3, 0x792796d18fda907aULL},
+      {"caterpillar", 900, 1, 0x080ac0503da0514aULL},
+      {"caterpillar", 900, 2, 0x1dee88450350e710ULL},
+      {"caterpillar", 900, 3, 0x01e468bee55434b6ULL},
+      {"ladder", 100, 1, 0x7c2730f63da27277ULL},
+      {"ladder", 100, 2, 0x7c2730f63da27277ULL},
+      {"ladder", 100, 3, 0x7c2730f63da27277ULL},
+      {"ladder", 800, 1, 0x0bffe749406c2dddULL},
+      {"ladder", 800, 2, 0x0bffe749406c2dddULL},
+      {"ladder", 800, 3, 0x0bffe749406c2dddULL},
+  };
+  for (const auto& c : cases) {
+    const auto in = make_pinned_instance(c.family, c.size, c.seed);
+    const auto enc = encode_three_coloring_advice(in.graph, in.witness);
+    const auto dec = decode_three_coloring(in.graph, enc.bits);
+    EXPECT_TRUE(is_proper_coloring(in.graph, dec.coloring, 3));
+    Fold f;
+    f.add(enc.num_groups);
+    for (const char b : enc.bits) f.add(b);
+    for (const int col : dec.coloring) f.add(col);
+    f.add(dec.rounds);
+    EXPECT_EQ(f.h, c.digest) << c.family << " size " << c.size << " seed " << c.seed;
+  }
+}
+
+// Tolerant decode of a large G_{2,3} component whose parity groups were
+// damaged: the group bits of a long spine window are cleared (its middle
+// cannot reach a group) and stray adjacent pairs are planted (extra group
+// components). The failed mask and the partial coloring are pinned.
+TEST(ThreeColoring, PinnedTolerantDecodeWithFlippedGroupBits) {
+  const int spine = 900;
+  const auto pc = make_planted_caterpillar(spine, 41);
+  const Graph& g = pc.graph;
+  const auto enc = encode_three_coloring_advice(g, pc.coloring);
+  ASSERT_GT(enc.num_groups, 0);
+  auto bits = enc.bits;
+  for (int v = 300; v < 600; ++v) bits[v] = 0;  // spine nodes are indices [0, spine)
+  for (int v = 650; v + 1 < spine; v += 50) bits[v] = bits[v + 1] = 1;
+  std::vector<char> failed;
+  const auto dec = decode_three_coloring_tolerant(g, bits, failed);
+  Fold f;
+  int num_failed = 0;
+  for (int v = 0; v < g.n(); ++v) {
+    num_failed += failed[v];
+    f.add(failed[v]);
+    f.add(dec.coloring[v]);
+  }
+  f.add(dec.rounds);
+  EXPECT_GT(num_failed, 0);
+  EXPECT_EQ(num_failed, 360);
+  EXPECT_EQ(f.h, 0xa05f305b3ca197e9ULL);
+}
 
 }  // namespace
 }  // namespace lad
