@@ -6,6 +6,7 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "util/search.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lad {
@@ -280,9 +281,9 @@ Graph Graph::from_parts(Parts&& parts) {
 }
 
 std::optional<int> Graph::find_index(NodeId id) const {
-  const auto it = std::lower_bound(sorted_ids_.begin(), sorted_ids_.end(), id);
-  if (it == sorted_ids_.end() || *it != id) return std::nullopt;
-  return by_id_ix_[static_cast<std::size_t>(it - sorted_ids_.begin())];
+  const std::size_t k = lower_bound_index<NodeId>(sorted_ids_, id);
+  if (k == sorted_ids_.size() || sorted_ids_[k] != id) return std::nullopt;
+  return by_id_ix_[k];
 }
 
 int Graph::index_of(NodeId id) const {

@@ -1,139 +1,311 @@
 #include "local/gather.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <sstream>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <numeric>
 #include <unordered_map>
 
 #include "graph/canonical.hpp"
 #include "graph/distance.hpp"
 #include "obs/telemetry.hpp"
+#include "util/search.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lad {
 namespace {
 
-// Flooding state per node: known node IDs and known edges (as ID pairs).
-struct Knowledge {
-  std::set<NodeId> nodes;
-  std::set<std::pair<NodeId, NodeId>> edges;
+// Wire format (local/gather.hpp): u32 node count, u32 edge count, then the
+// i64 node IDs and the i64 (lo, hi) edge pairs, every word little-endian.
+constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kIdBytes = 8;
+constexpr std::size_t kEdgeBytes = 16;
 
-  std::string serialize() const {
-    std::ostringstream os;
-    os << nodes.size() << ' ';
-    for (const auto id : nodes) os << id << ' ';
-    os << edges.size() << ' ';
-    for (const auto& [a, b] : edges) os << a << ' ' << b << ' ';
-    std::string s = os.str();
-    // Ball-gather allocation accounting (obs/profile.*): one serialized
-    // knowledge buffer per flooding send. The multiset of increments is a
-    // pure function of the gather, so the totals stay byte-deterministic
-    // at any thread count (the profile's gather allocation column).
-    LAD_TM({
-      obs::core().alloc_gather.add(1);
-      obs::core().alloc_gather_bytes.add(static_cast<long long>(s.size()));
-    });
-    return s;
+template <class U>
+void store_le(char* out, U w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &w, sizeof w);
+  } else {
+    for (std::size_t b = 0; b < sizeof w; ++b) out[b] = static_cast<char>(w >> (8 * b));
   }
+}
 
-  void merge_serialized(const std::string& s) {
-    std::istringstream is(s);
-    std::size_t nn = 0, ne = 0;
-    is >> nn;
-    for (std::size_t i = 0; i < nn; ++i) {
-      NodeId id = 0;
-      is >> id;
-      nodes.insert(id);
-    }
-    is >> ne;
-    for (std::size_t i = 0; i < ne; ++i) {
-      NodeId a = 0, b = 0;
-      is >> a >> b;
-      edges.insert({a, b});
+template <class U>
+U load_le(const char* in) {
+  U w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, in, sizeof w);
+  } else {
+    for (std::size_t b = 0; b < sizeof w; ++b) {
+      w |= static_cast<U>(static_cast<unsigned char>(in[b])) << (8 * b);
     }
   }
+  return w;
+}
+
+std::string encode(const std::vector<NodeId>& nodes, const std::vector<IdEdge>& edges) {
+  // A graph has fewer than 2^31 nodes and edges, so the counts fit.
+  LAD_ASSERT(nodes.size() <= UINT32_MAX && edges.size() <= UINT32_MAX);
+  std::string s(kHeaderBytes + kIdBytes * nodes.size() + kEdgeBytes * edges.size(), '\0');
+  char* p = s.data();
+  store_le(p, static_cast<std::uint32_t>(nodes.size()));
+  store_le(p + 4, static_cast<std::uint32_t>(edges.size()));
+  p += kHeaderBytes;
+  for (const NodeId id : nodes) {
+    store_le(p, static_cast<std::uint64_t>(id));
+    p += kIdBytes;
+  }
+  for (const IdEdge& e : edges) {
+    store_le(p, static_cast<std::uint64_t>(e.lo));
+    store_le(p + kIdBytes, static_cast<std::uint64_t>(e.hi));
+    p += kEdgeBytes;
+  }
+  // Ball-gather allocation accounting (obs/profile.*): one payload buffer
+  // per flooding broadcast. The multiset of increments is a pure function
+  // of the gather, so the totals stay byte-deterministic at any thread
+  // count (the profile's gather allocation column).
+  LAD_TM({
+    obs::core().alloc_gather.add(1);
+    obs::core().alloc_gather_bytes.add(static_cast<long long>(s.size()));
+  });
+  return s;
+}
+
+[[noreturn]] void bad_payload(const std::string& why) {
+  throw ContractViolation("malformed gather payload: " + why);
+}
+
+// Appends the payload's two runs to `nodes` and `edges`, recording where
+// each run starts. Throws ContractViolation, before reading past the
+// header, unless the length is the one the header implies; and unless both
+// runs are strictly ascending, with positive IDs and lo < hi.
+void decode_append(const std::string& s, std::vector<NodeId>& nodes,
+                   std::vector<std::size_t>& node_runs, std::vector<IdEdge>& edges,
+                   std::vector<std::size_t>& edge_runs) {
+  if (s.size() < kHeaderBytes) {
+    bad_payload(std::to_string(s.size()) + " bytes is shorter than the header");
+  }
+  const std::uint64_t nn = load_le<std::uint32_t>(s.data());
+  const std::uint64_t ne = load_le<std::uint32_t>(s.data() + 4);
+  const std::uint64_t want = kHeaderBytes + kIdBytes * nn + kEdgeBytes * ne;
+  if (s.size() != want) {
+    bad_payload(std::to_string(s.size()) + " bytes, but its header (" + std::to_string(nn) +
+                " nodes, " + std::to_string(ne) + " edges) implies " + std::to_string(want));
+  }
+  const char* p = s.data() + kHeaderBytes;
+  bool ascending = true;
+  node_runs.push_back(nodes.size());
+  NodeId prev = 0;
+  for (std::uint64_t i = 0; i < nn; ++i, p += kIdBytes) {
+    const auto id = static_cast<NodeId>(load_le<std::uint64_t>(p));
+    ascending = ascending && prev < id;
+    prev = id;
+    nodes.push_back(id);
+  }
+  edge_runs.push_back(edges.size());
+  IdEdge last{0, 0};
+  for (std::uint64_t i = 0; i < ne; ++i, p += kEdgeBytes) {
+    const IdEdge e{static_cast<NodeId>(load_le<std::uint64_t>(p)),
+                   static_cast<NodeId>(load_le<std::uint64_t>(p + kIdBytes))};
+    ascending = ascending && last < e && 0 < e.lo && e.lo < e.hi;
+    last = e;
+    edges.push_back(e);
+  }
+  if (!ascending) bad_payload("its runs are not strictly ascending");
+}
+
+// Sorted union of the ascending runs items[runs[k], runs[k + 1]) (the
+// last run ends at items.end()), merged pairwise level by level: O(total
+// log runs) with no sort. Leaves the union in `items`.
+template <class T>
+void union_runs(std::vector<T>& items, std::vector<std::size_t>& runs, std::vector<T>& buf) {
+  runs.push_back(items.size());
+  while (runs.size() > 2) {
+    buf.clear();
+    std::size_t w = 0;
+    for (std::size_t k = 0; k + 1 < runs.size(); k += 2) {
+      const auto a = items.begin() + static_cast<std::ptrdiff_t>(runs[k]);
+      const auto b = items.begin() + static_cast<std::ptrdiff_t>(runs[k + 1]);
+      const auto c =
+          k + 2 < runs.size() ? items.begin() + static_cast<std::ptrdiff_t>(runs[k + 2]) : b;
+      runs[w++] = buf.size();
+      std::set_union(a, b, b, c, std::back_inserter(buf));
+    }
+    runs[w++] = buf.size();
+    runs.resize(w);
+    items.swap(buf);
+  }
+}
+
+// Moves the items of the sorted run `incoming` that `known` lacks into
+// `fresh` and merges them into `known`, in place from the back.
+template <class T>
+void absorb(std::vector<T>& known, const std::vector<T>& incoming, std::vector<T>& fresh) {
+  fresh.clear();
+  std::set_difference(incoming.begin(), incoming.end(), known.begin(), known.end(),
+                      std::back_inserter(fresh));
+  std::size_t i = known.size(), j = fresh.size();
+  known.resize(i + j);
+  for (std::size_t k = i + j; j > 0;) {
+    known[--k] = i > 0 && fresh[j - 1] < known[i - 1] ? known[--i] : fresh[--j];
+  }
+}
+
+// Per-thread buffers for one node step. Each step clears what it uses, so
+// nothing carries over from one node to the next and the thread that ran a
+// node never shows in its output.
+struct StepScratch {
+  std::vector<NodeId> nodes, node_buf, fresh_nodes;
+  std::vector<IdEdge> edges, edge_buf, fresh_edges;
+  std::vector<std::size_t> node_runs, edge_runs;
 };
 
-class GatherAlgorithm : public SyncAlgorithm {
- public:
-  explicit GatherAlgorithm(int radius) : radius_(radius) {}
+StepScratch& step_scratch() {
+  thread_local StepScratch scratch;
+  return scratch;
+}
 
-  void init(const Graph& g) override {
-    know_.assign(static_cast<std::size_t>(g.n()), {});
-    for (int v = 0; v < g.n(); ++v) {
-      auto& k = know_[static_cast<std::size_t>(v)];
-      k.nodes.insert(g.id(v));
-      // A node initially knows its incident edges (neighbor IDs via ports).
-      for (const int u : g.neighbors(v)) {
-        k.nodes.insert(g.id(u));
-        k.edges.insert({std::min(g.id(v), g.id(u)), std::max(g.id(v), g.id(u))});
+}  // namespace
+
+FloodingGather::FloodingGather(int radius) : radius_(radius) { LAD_CHECK(radius >= 0); }
+
+void FloodingGather::init(const Graph& g) {
+  // The radius-1 view: own ID, neighbour IDs (through the ID-sorted ports),
+  // incident edges.
+  nodes_.assign(static_cast<std::size_t>(g.n()), {});
+  edges_.assign(static_cast<std::size_t>(g.n()), {});
+  for (int v = 0; v < g.n(); ++v) {
+    auto& nodes = nodes_[static_cast<std::size_t>(v)];
+    auto& edges = edges_[static_cast<std::size_t>(v)];
+    const NodeId self = g.id(v);
+    nodes.push_back(self);
+    for (const int u : g.neighbors(v)) {
+      const NodeId other = g.id(u);
+      nodes.push_back(other);
+      edges.push_back({std::min(self, other), std::max(self, other)});
+    }
+    std::sort(nodes.begin(), nodes.end());
+    std::sort(edges.begin(), edges.end());
+  }
+}
+
+void FloodingGather::round(NodeCtx& ctx) {
+  const auto v = static_cast<std::size_t>(ctx.node());
+  StepScratch& sc = step_scratch();
+  if (ctx.round_number() > 1) {
+    sc.nodes.clear();
+    sc.edges.clear();
+    sc.node_runs.clear();
+    sc.edge_runs.clear();
+    for (int p = 0; p < ctx.degree(); ++p) {
+      if (ctx.has_message(p)) {
+        decode_append(ctx.received(p), sc.nodes, sc.node_runs, sc.edges, sc.edge_runs);
       }
     }
+    union_runs(sc.nodes, sc.node_runs, sc.node_buf);
+    union_runs(sc.edges, sc.edge_runs, sc.edge_buf);
+    absorb(nodes_[v], sc.nodes, sc.fresh_nodes);
+    absorb(edges_[v], sc.edges, sc.fresh_edges);
+  }
+  if (ctx.round_number() > radius_) {
+    ctx.halt({});
+    return;
+  }
+  ctx.broadcast(ctx.round_number() == 1 ? encode(nodes_[v], edges_[v])
+                                        : encode(sc.fresh_nodes, sc.fresh_edges));
+}
+
+Ball FloodingGather::ball(const Graph& g, int v) const {
+  const auto& ids = known_nodes(v);
+  const auto& edges = known_edges(v);
+  const std::size_t k = ids.size();
+  const auto rank = [&ids](NodeId id) {
+    const std::size_t r = lower_bound_index<NodeId>(ids, id);
+    if (r == ids.size() || ids[r] != id) {
+      throw ContractViolation("flooded knowledge lacks node " + std::to_string(id));
+    }
+    return r;
+  };
+
+  // The known graph in CSR form, nodes indexed by ID rank.
+  std::vector<std::pair<std::size_t, std::size_t>> ends;
+  ends.reserve(edges.size());
+  std::vector<std::size_t> off(k + 1, 0);
+  for (const IdEdge& e : edges) {
+    const auto& [a, b] = ends.emplace_back(rank(e.lo), rank(e.hi));
+    ++off[a + 1];
+    ++off[b + 1];
+  }
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  std::vector<std::size_t> adj(off.back());
+  std::vector<std::size_t> cursor(off.begin(), off.end() - 1);
+  for (const auto& [a, b] : ends) {
+    adj[cursor[a]++] = b;
+    adj[cursor[b]++] = a;
   }
 
-  void round(NodeCtx& ctx) override {
-    auto& k = know_[static_cast<std::size_t>(ctx.node())];
-    for (int p = 0; p < ctx.degree(); ++p) {
-      if (ctx.has_message(p)) k.merge_serialized(ctx.received(p));
+  // BFS to `radius`, each layer then in ascending rank, which is ascending
+  // ID: the order extract_ball gives on a graph indexed in ID order.
+  const std::size_t center = rank(g.id(v));
+  std::vector<int> dist(k, kUnreachable);
+  std::vector<std::size_t> order{center};
+  dist[center] = 0;
+  for (std::size_t head = 0; head < order.size() && dist[order[head]] < radius_; ++head) {
+    const std::size_t x = order[head];
+    for (std::size_t j = off[x]; j < off[x + 1]; ++j) {
+      if (dist[adj[j]] != kUnreachable) continue;
+      dist[adj[j]] = dist[x] + 1;
+      order.push_back(adj[j]);
     }
-    if (ctx.round_number() > radius_) {
-      ctx.halt(k.serialize());
-      return;
-    }
-    ctx.broadcast(k.serialize());
   }
-
-  const Knowledge& knowledge(int v) const { return know_[static_cast<std::size_t>(v)]; }
-
- private:
-  int radius_;
-  std::vector<Knowledge> know_;
-};
-
-// Reconstructs node v's radius-t ball from its flooded knowledge: build a
-// graph from the known edges, cut the ball, re-anchor to parent indices.
-Ball reconstruct_ball(const Graph& g, const Knowledge& k, int v, int radius) {
-  std::map<NodeId, int> ix;
-  Graph::Builder b;
-  for (const auto id : k.nodes) ix[id] = b.add_node(id);
-  for (const auto& [a, c] : k.edges) b.add_edge(ix.at(a), ix.at(c));
-  const Graph known = std::move(b).build();
-  const auto center = known.find_index(g.id(v));
-  LAD_CHECK_MSG(center.has_value(), "flooded knowledge is missing its own center node");
-  const Ball ball = extract_ball(known, *center, radius);
+  for (auto lo = order.begin(); lo != order.end();) {
+    const int d = dist[*lo];
+    const auto hi = std::find_if(lo, order.end(), [&](std::size_t x) { return dist[x] != d; });
+    std::sort(lo, hi);
+    lo = hi;
+  }
 
   Ball out;
-  out.radius = radius;
-  Graph::Builder ob;
-  for (int i = 0; i < ball.graph.n(); ++i) ob.add_node(ball.graph.id(i));
-  for (int e = 0; e < ball.graph.m(); ++e) ob.add_edge(ball.graph.edge_u(e), ball.graph.edge_v(e));
-  out.graph = std::move(ob).build();
-  out.center = ball.center;
-  out.dist = ball.dist;
-  for (int i = 0; i < ball.graph.n(); ++i) {
-    const auto parent = g.find_index(ball.graph.id(i));
+  out.radius = radius_;
+  out.dist.reserve(order.size());
+  out.to_parent.reserve(order.size());
+  std::vector<int> slot(k, -1);
+  Graph::Builder b;
+  b.reserve(order.size(), ends.size());
+  for (const std::size_t x : order) {
+    slot[x] = b.add_node(ids[x]);
+    out.dist.push_back(dist[x]);
+    const auto parent = g.find_index(ids[x]);
     LAD_CHECK_MSG(parent.has_value(), "ball node missing from its parent graph");
     out.to_parent.push_back(*parent);
   }
+  for (const auto& [a, c] : ends) {
+    if (slot[a] >= 0 && slot[c] >= 0) b.add_edge(slot[a], slot[c]);
+  }
+  out.graph = std::move(b).build();
+  out.center = slot[center];
   return out;
 }
 
+namespace {
+
 std::vector<Ball> gather_balls_impl(const Graph& g, int radius, ThreadPool* pool) {
   LAD_TM_SPAN(span, "gather.balls", "gather");
-  GatherAlgorithm alg(radius);
-  Engine eng(g);
-  eng.set_thread_pool(pool);
-  const auto run = eng.run(alg, radius + 2);
-  LAD_CHECK(run.all_halted);
+  FloodingGather alg(radius);
+  {
+    Engine eng(g);
+    eng.set_thread_pool(pool);
+    const auto run = eng.run(alg, alg.max_rounds());
+    LAD_CHECK(run.all_halted);
+  }
 
-  // After t+1 rounds a node knows edges incident to nodes at distance <= t;
-  // restrict to the induced radius-t ball. Each reconstruction writes only
-  // its own slot, so the fan-out is deterministic at any thread count.
+  // After t+1 rounds a node knows every edge with an endpoint within t
+  // hops; the ball is the induced radius-t part. Each reconstruction writes
+  // only its own slot, so the fan-out is deterministic at any thread count.
   std::vector<Ball> balls(static_cast<std::size_t>(g.n()));
-  auto build = [&](int v) {
-    balls[static_cast<std::size_t>(v)] = reconstruct_ball(g, alg.knowledge(v), v, radius);
-  };
+  auto build = [&](int v) { balls[static_cast<std::size_t>(v)] = alg.ball(g, v); };
   if (pool != nullptr && pool->threads() > 1) {
     pool->for_each(g.n(), build);
   } else {

@@ -5,9 +5,30 @@
 // local/ball.hpp extracts combinatorially (the classical LOCAL
 // equivalence). bfs_by_messages is the standard distributed BFS.
 //
-// The parallel variants fan the per-node ball reconstruction (the heavy,
-// embarrassingly parallel part) out over a ThreadPool with byte-identical
-// results, and gather_canonical_views adds the §8 order-invariance memo: a
+// The flooding is FloodingGather, by deltas (DESIGN.md §8.6). A node's
+// knowledge is two sorted, deduplicated runs: node IDs, and edges as
+// (smaller ID, larger ID) pairs. In round 1 it starts as the radius-1 view
+// (own ID, neighbour IDs, incident edges) and is broadcast whole. In every later round a node
+// merges its inbox and broadcasts only the items that were new to it in
+// that round. Nothing is lost: whatever a neighbour u knew two rounds ago
+// already reached v last round, so the last delta of each neighbour is all
+// v is missing. After round t+1 a node therefore holds exactly what
+// full-knowledge flooding gives it (every node within t+1 hops, every edge
+// with an endpoint within t hops) and halts with an empty output. The
+// argument needs every message delivered: the gather installs no fault
+// model, and FloodingGather is not meant to run under one.
+//
+// Payload layout (all words little-endian): a u32 node count N and a u32
+// edge count E, then N i64 node IDs in strictly ascending order, then E
+// edges as i64 pairs (lo, hi) with lo < hi, in strictly ascending order.
+// Every port gets one payload per round, an empty delta included (8
+// bytes). A payload whose length differs from 8 + 8N + 16E, or whose runs
+// are not strictly ascending, throws ContractViolation before anything is
+// merged.
+//
+// The parallel variants fan the flooding compute phase and the per-node
+// ball reconstruction out over a ThreadPool with byte-identical results,
+// and gather_canonical_views adds the §8 order-invariance memo: a
 // cache keyed by the canonical form of each ball, so any view-based decoder
 // that is order-invariant needs to be evaluated once per *distinct* view
 // instead of once per node. The key includes the relative ID order inside
@@ -28,8 +49,49 @@ namespace lad {
 
 class ThreadPool;
 
-/// Runs a flooding algorithm for radius+1 rounds and reconstructs each
-/// node's radius-`radius` ball from the messages alone.
+/// A known edge by the IDs of its endpoints, smaller ID first.
+struct IdEdge {
+  NodeId lo = 0;
+  NodeId hi = 0;
+  auto operator<=>(const IdEdge&) const = default;
+};
+
+/// The delta-flooding algorithm behind gather_balls_by_messages, for
+/// callers that configure the Engine themselves (the provenance audit, a
+/// fault model). Run it for max_rounds(); every node halts in round
+/// radius + 1 with an empty output.
+class FloodingGather : public SyncAlgorithm {
+ public:
+  explicit FloodingGather(int radius);
+
+  /// Rounds to hand Engine::run: radius + 1 flooding rounds, plus the one
+  /// in which the engine finds every node halted.
+  int max_rounds() const { return radius_ + 2; }
+
+  void init(const Graph& g) override;
+  void round(NodeCtx& ctx) override;
+
+  /// Node v's knowledge: sorted, deduplicated node IDs and edges.
+  const std::vector<NodeId>& known_nodes(int v) const {
+    return nodes_[static_cast<std::size_t>(v)];
+  }
+  const std::vector<IdEdge>& known_edges(int v) const {
+    return edges_[static_cast<std::size_t>(v)];
+  }
+
+  /// Node v's radius-`radius` ball, rebuilt from its knowledge after a
+  /// complete fault-free run; `g` maps the ball's IDs to parent indices.
+  /// Nodes are listed by distance, ascending ID within a layer.
+  Ball ball(const Graph& g, int v) const;
+
+ private:
+  int radius_;
+  std::vector<std::vector<NodeId>> nodes_;
+  std::vector<std::vector<IdEdge>> edges_;
+};
+
+/// Runs FloodingGather for radius+1 rounds and reconstructs each node's
+/// radius-`radius` ball from the messages alone.
 std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius);
 
 /// Same result, byte-identical, with the flooding compute phase and the

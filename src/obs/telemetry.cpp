@@ -202,9 +202,9 @@ CoreMetrics& core() {
                   "per-round message payloads that outgrew SSO (heap allocations)"),
         r.counter("lad_alloc_msgbuf_bytes_total",
                   "bytes of heap-allocated per-round message payloads (bytes)"),
-        r.counter("lad_alloc_gather_total", "serialized ball-gather buffers built (allocations)"),
-        r.counter("lad_alloc_gather_bytes_total",
-                  "bytes of serialized ball-gather buffers (bytes)"),
+        r.counter("lad_alloc_gather_total",
+                  "ball-gather delta payloads built, one per broadcast (allocations)"),
+        r.counter("lad_alloc_gather_bytes_total", "bytes of ball-gather delta payloads (bytes)"),
         // Thread-variant metrics: pool geometry, dispatch/wait timing, and
         // contract-check multiplicity are functions of the thread count (or
         // the wall clock) by design, so they are exempt from the

@@ -176,10 +176,33 @@ TEST(Provenance, FlooderGrowsExactlyOneHopPerRound) {
 
 TEST(Provenance, GatherByMessagesMatchesBallSemantics) {
   // The flooding gather is the operational proof of the view API; it must
-  // run audit-clean (its information flow is exactly the radius-t ball).
+  // run audit-clean (its information flow is exactly the radius-t ball),
+  // and the audited run must rebuild the balls gather_balls_by_messages
+  // returns.
   const Graph g = make_grid(8, 8, IdMode::kRandomDense, 5);
-  const auto balls = gather_balls_by_messages(g, 2);
-  EXPECT_EQ(static_cast<int>(balls.size()), g.n());
+  const int radius = 2;
+  FloodingGather alg(radius);
+  Engine eng(g);
+  eng.enable_audit();
+  const auto run = eng.run(alg, alg.max_rounds());
+  ASSERT_TRUE(run.all_halted);
+  EXPECT_TRUE(eng.audit_log().clean());
+  ASSERT_EQ(static_cast<int>(eng.audit_log().per_round.size()), radius + 1);
+  for (const auto& stats : eng.audit_log().per_round) {
+    EXPECT_LE(stats.max_radius, stats.round);
+    // One hop per round, as fast as the model allows (the 8x8 grid is
+    // wider than the 3 rounds).
+    EXPECT_EQ(stats.max_radius, stats.round);
+  }
+  const auto balls = gather_balls_by_messages(g, radius);
+  ASSERT_EQ(static_cast<int>(balls.size()), g.n());
+  for (int v = 0; v < g.n(); ++v) {
+    const Ball audited = alg.ball(g, v);
+    const Ball& plain = balls[static_cast<std::size_t>(v)];
+    EXPECT_EQ(audited.to_parent, plain.to_parent) << "node " << g.id(v);
+    EXPECT_EQ(audited.dist, plain.dist) << "node " << g.id(v);
+    EXPECT_EQ(audited.graph.m(), plain.graph.m()) << "node " << g.id(v);
+  }
 }
 
 TEST(Provenance, ColeVishkinRunsAuditClean) {

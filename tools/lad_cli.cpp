@@ -70,6 +70,7 @@
 #include "lint/lint.hpp"
 #include "local/audit.hpp"
 #include "local/engine.hpp"
+#include "local/gather.hpp"
 #include "obs/benchdiff.hpp"
 #include "obs/claims.hpp"
 #include "obs/profile.hpp"
@@ -440,32 +441,6 @@ int print_report(const LocalityAuditReport& report, int declared_rounds) {
   return 3;
 }
 
-// Flooding for `radius` rounds under the provenance auditor: the canonical
-// audit-clean engine algorithm (provenance grows exactly one hop per round).
-class AuditFlooder : public SyncAlgorithm {
- public:
-  explicit AuditFlooder(int radius) : radius_(radius) {}
-  void init(const Graph& g) override {
-    known_.assign(static_cast<std::size_t>(g.n()), "");
-    for (int v = 0; v < g.n(); ++v) known_[static_cast<std::size_t>(v)] = std::to_string(g.id(v));
-  }
-  void round(NodeCtx& ctx) override {
-    auto& k = known_[static_cast<std::size_t>(ctx.node())];
-    for (int p = 0; p < ctx.degree(); ++p) {
-      if (ctx.has_message(p)) k += "|" + ctx.received(p);
-    }
-    if (ctx.round_number() > radius_) {
-      ctx.halt(k);
-      return;
-    }
-    ctx.broadcast(k);
-  }
-
- private:
-  int radius_;
-  std::vector<std::string> known_;
-};
-
 int cmd_audit(int argc, char** argv) {
   if (argc < 2) return usage();
   const auto lg = load_source_or_complain(argv[0]);
@@ -476,10 +451,11 @@ int cmd_audit(int argc, char** argv) {
   if (which == "gather") {
     const int radius = argc >= 3 ? std::atoi(argv[2]) : 3;
     if (radius < 0) return usage();
-    AuditFlooder alg(radius);
+    // The library's own ball gather under the provenance auditor.
+    FloodingGather alg(radius);
     Engine eng(g);
     eng.enable_audit(/*fail_fast=*/false);
-    const auto run = eng.run(alg, radius + 2);
+    const auto run = eng.run(alg, alg.max_rounds());
     std::printf("flooding gather, radius %d, on n=%d m=%d\n", radius, g.n(), g.m());
     print_provenance(eng.audit_log());
     return run.all_halted && eng.audit_log().clean() ? 0 : 3;
