@@ -66,73 +66,76 @@ Graph build_campaign_graph(DecoderKind decoder, GraphFamily& family, int n) {
   LAD_UNREACHABLE("unknown GraphFamily");
 }
 
-namespace {
+void EchoVerify::keep_first(PortState& ps, std::string_view m) {
+  ps.len = static_cast<std::uint32_t>(m.size());
+  if (m.size() <= sizeof ps.bytes) {
+    std::copy(m.begin(), m.end(), ps.bytes);
+  } else {
+    ps.heap = new char[m.size()];
+    std::copy(m.begin(), m.end(), ps.heap);
+  }
+}
 
-// Distributed verification echo: every node broadcasts its output digest
-// for `rounds` rounds; a receiver that misses a copy (drop / crashed
-// neighbor) or sees differing copies (corruption) cannot certify and
-// outputs "unverified". Crashed nodes never halt at all.
-class EchoVerify final : public SyncAlgorithm {
- public:
-  EchoVerify(std::vector<std::string> digests, int rounds)
-      : digests_(std::move(digests)), rounds_(rounds) {}
+void EchoVerify::release_node(int v) {
+  // Frees v's heap copies; the caller blanks the ports.
+  if (!owns_heap_[static_cast<std::size_t>(v)]) return;
+  for (int s = off_[v]; s < off_[v + 1]; ++s) {
+    const PortState& ps = ports_[static_cast<std::size_t>(s)];
+    if (ps.len > sizeof ps.bytes) delete[] ps.heap;
+  }
+  owns_heap_[static_cast<std::size_t>(v)] = 0;
+}
 
-  void init(const Graph& g) override {
-    first_.assign(static_cast<std::size_t>(g.n()), {});
-    copies_.assign(static_cast<std::size_t>(g.n()), {});
-    ok_.assign(static_cast<std::size_t>(g.n()), 1);
-    for (int v = 0; v < g.n(); ++v) {
-      first_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), "");
-      copies_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), 0);
+void EchoVerify::release_all() {
+  for (int v = 0; v < static_cast<int>(owns_heap_.size()); ++v) release_node(v);
+}
+
+void EchoVerify::init(const Graph& g) {
+  release_all();
+  off_ = g.raw_adj_off();
+  ports_.assign(static_cast<std::size_t>(off_.back()), PortState{});
+  ok_.assign(static_cast<std::size_t>(g.n()), 1);
+  owns_heap_.assign(static_cast<std::size_t>(g.n()), 0);
+}
+
+void EchoVerify::round(NodeCtx& ctx) {
+  const int v = ctx.node();
+  const int r = ctx.round_number();
+  PortState* ports = ports_.data() + off_[v];
+  if (r <= rounds_) ctx.broadcast(digests_[static_cast<std::size_t>(v)]);
+  if (r >= 2) {
+    for (int p = 0; p < ctx.degree(); ++p) {
+      if (!ctx.has_message(p)) continue;
+      const std::string_view m = ctx.received(p);
+      PortState& ps = ports[p];
+      if (ps.copies == 0) {
+        keep_first(ps, m);
+        if (ps.len > sizeof ps.bytes) owns_heap_[static_cast<std::size_t>(v)] = 1;
+      } else if (m != ps.first()) {
+        ok_[static_cast<std::size_t>(v)] = 0;  // corrupted copy
+      }
+      ++ps.copies;
     }
   }
-
-  void round(NodeCtx& ctx) override {
-    const int v = ctx.node();
-    const int r = ctx.round_number();
-    if (r <= rounds_) ctx.broadcast(digests_[static_cast<std::size_t>(v)]);
-    if (r >= 2) {
-      for (int p = 0; p < ctx.degree(); ++p) {
-        if (!ctx.has_message(p)) continue;
-        const std::string& m = ctx.received(p);
-        auto& cnt = copies_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-        auto& ref = first_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-        if (cnt == 0) {
-          ref = m;
-        } else if (m != ref) {
-          ok_[static_cast<std::size_t>(v)] = 0;  // corrupted copy
-        }
-        ++cnt;
+  if (r == rounds_ + 1) {
+    for (int p = 0; p < ctx.degree(); ++p) {
+      if (ports[p].copies != static_cast<std::uint32_t>(rounds_)) {
+        ok_[static_cast<std::size_t>(v)] = 0;  // missing copy
       }
     }
-    if (r == rounds_ + 1) {
-      for (int p = 0; p < ctx.degree(); ++p) {
-        if (copies_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] != rounds_) {
-          ok_[static_cast<std::size_t>(v)] = 0;  // missing copy
-        }
-      }
-      ctx.halt(ok_[static_cast<std::size_t>(v)] != 0 ? "ok" : "unverified");
-    }
+    ctx.halt(ok_[static_cast<std::size_t>(v)] != 0 ? "ok" : "unverified");
   }
+}
 
-  void on_recover(const Graph& g, int v) override {
-    // Blank state for a crash-recovery rejoin: the node restarts the echo
-    // protocol. The copies it missed while down keep it from certifying
-    // (counted as a detection), exactly like a crash-stop victim.
-    first_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), "");
-    copies_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), 0);
-    ok_[static_cast<std::size_t>(v)] = 1;
-  }
-
- private:
-  std::vector<std::string> digests_;
-  int rounds_;
-  std::vector<std::vector<std::string>> first_;
-  std::vector<std::vector<int>> copies_;
-  std::vector<char> ok_;
-};
-
-}  // namespace
+void EchoVerify::on_recover(const Graph& g, int v) {
+  // Blank state for a crash-recovery rejoin: the node restarts the echo
+  // protocol. The copies it missed while down keep it from certifying
+  // (counted as a detection), exactly like a crash-stop victim.
+  (void)g;
+  release_node(v);
+  for (int s = off_[v]; s < off_[v + 1]; ++s) ports_[static_cast<std::size_t>(s)] = PortState{};
+  ok_[static_cast<std::size_t>(v)] = 1;
+}
 
 EchoResult run_verification_echo(const Graph& g, const std::vector<std::string>& digests,
                                  int echo_rounds, const EngineFaultModel* faults,

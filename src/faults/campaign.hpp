@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,10 +30,10 @@
 #include "faults/fault_plan.hpp"
 #include "faults/robust.hpp"
 #include "graph/graph.hpp"
+#include "local/engine.hpp"
 
 namespace lad {
-class EngineFaultModel;  // local/engine.hpp
-class ThreadPool;        // util/thread_pool.hpp
+class ThreadPool;  // util/thread_pool.hpp
 }
 
 namespace lad::faults {
@@ -124,7 +125,7 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config);
 Graph build_campaign_graph(DecoderKind decoder, GraphFamily& family, int n);
 
 /// Outcome of a distributed verification echo (digest broadcast +
-/// cross-round comparison; see campaign.cpp's EchoVerify).
+/// cross-round comparison; see EchoVerify).
 struct EchoResult {
   /// Nodes that could not certify their neighbors' digests, ascending.
   std::vector<int> unverified_nodes;
@@ -137,6 +138,52 @@ struct EchoResult {
   long long delayed = 0;
   int crashed = 0;
   int recovered = 0;
+};
+
+/// Distributed verification echo: every node broadcasts its output digest
+/// for `rounds` rounds; a receiver that misses a copy (drop / crashed
+/// neighbor) or sees differing copies (corruption) cannot certify and
+/// outputs "unverified". Crashed nodes never halt at all. Run it for
+/// `rounds + 2` rounds.
+class EchoVerify final : public SyncAlgorithm {
+ public:
+  /// `digests` (one per node) is held by reference and must outlive the run.
+  EchoVerify(const std::vector<std::string>& digests, int rounds)
+      : digests_(digests), rounds_(rounds) {}
+  EchoVerify(std::vector<std::string>&& digests, int rounds) = delete;
+  EchoVerify(const EchoVerify&) = delete;
+  EchoVerify& operator=(const EchoVerify&) = delete;
+  ~EchoVerify() override { release_all(); }
+
+  void init(const Graph& g) override;
+  void round(NodeCtx& ctx) override;
+  void on_recover(const Graph& g, int v) override;
+
+ private:
+  // What one port has seen: how many copies arrived and the first of
+  // them, up to 8 bytes inline and longer ones in an owned heap block.
+  // All-zero is the blank state, so a run's state is one flat fill.
+  struct PortState {
+    std::uint32_t copies = 0;
+    std::uint32_t len = 0;
+    union {
+      char bytes[8];
+      char* heap;
+    };
+
+    std::string_view first() const { return {len <= sizeof bytes ? bytes : heap, len}; }
+  };
+
+  void keep_first(PortState& ps, std::string_view m);
+  void release_node(int v);
+  void release_all();
+
+  const std::vector<std::string>& digests_;
+  int rounds_;
+  std::span<const int> off_;       // node v's port p is slot off_[v] + p
+  std::vector<PortState> ports_;   // per slot
+  std::vector<char> ok_;           // per node: no corrupted or missing copy
+  std::vector<char> owns_heap_;    // per node: some port's first copy is on the heap
 };
 
 /// Runs the verification echo on g: every node broadcasts its digest for

@@ -23,7 +23,6 @@ void merge_sorted(std::vector<int>& into, const std::vector<int>& add) {
 }  // namespace
 
 NodeId NodeCtx::id() const { return eng_.g_.id(v_); }
-int NodeCtx::degree() const { return eng_.g_.degree(v_); }
 int NodeCtx::n() const { return eng_.g_.n(); }
 int NodeCtx::max_degree() const { return eng_.g_.max_degree(); }
 
@@ -33,50 +32,77 @@ NodeId NodeCtx::neighbor_id(int port) const {
   return eng_.g_.id(nb[port]);
 }
 
-const std::string& NodeCtx::received(int port) const {
-  static const std::string kEmpty;
+void NodeCtx::send(int port, std::string_view payload) {
   const int s = eng_.slot(v_, port);
-  if (eng_.audit_ && eng_.inbox_present_[s]) {
-    eng_.merge_provenance(v_, eng_.inbox_prov_[s]);
+  eng_.outbox_[static_cast<std::size_t>(s)] = eng_.planes_[eng_.write_].append(arena_, payload);
+  if (eng_.audit_) eng_.outbox_prov_[static_cast<std::size_t>(s)] = eng_.prov_[v_];
+}
+
+void NodeCtx::broadcast(std::string_view payload) {
+  const int begin = eng_.off_[v_];
+  const int end = eng_.off_[v_ + 1];
+  if (begin == end) return;
+  const Engine::MsgRef m = eng_.planes_[eng_.write_].append(arena_, payload);
+  for (int s = begin; s < end; ++s) {
+    eng_.outbox_[static_cast<std::size_t>(s)] = m;
+    if (eng_.audit_) eng_.outbox_prov_[static_cast<std::size_t>(s)] = eng_.prov_[v_];
   }
-  return eng_.inbox_present_[s] ? eng_.inbox_[s] : kEmpty;
-}
-
-bool NodeCtx::has_message(int port) const {
-  const int s = eng_.slot(v_, port);
-  // The presence bit is information originating at the sender; taint it too.
-  if (eng_.audit_ && eng_.inbox_present_[s]) {
-    eng_.merge_provenance(v_, eng_.inbox_prov_[s]);
-  }
-  return eng_.inbox_present_[s] != 0;
-}
-
-void NodeCtx::send(int port, std::string payload) {
-  const int s = eng_.slot(v_, port);
-  // Message-buffer allocation accounting (obs/profile.*): payloads beyond
-  // the 15-byte SSO capacity heap-allocate. Counted per send — the multiset
-  // of increments is a pure function of the run, so the totals are byte-
-  // deterministic at any thread count and land in the profile's
-  // message-exchange allocation column.
-  LAD_TM({
-    if (payload.size() > 15) {
-      obs::core().alloc_msgbuf.add(1);
-      obs::core().alloc_msgbuf_bytes.add(static_cast<long long>(payload.size()));
-    }
-  });
-  eng_.outbox_[s] = std::move(payload);
-  eng_.outbox_present_[s] = 1;
-  if (eng_.audit_) eng_.outbox_prov_[s] = eng_.prov_[v_];
-}
-
-void NodeCtx::broadcast(const std::string& payload) {
-  for (int p = 0; p < degree(); ++p) send(p, payload);
 }
 
 void NodeCtx::halt(std::string output) {
   eng_.halted_[v_] = 1;
   eng_.outputs_[v_] = std::move(output);
   eng_.halt_round_[v_] = round_;
+}
+
+Engine::MsgRef Engine::Plane::append(int arena, std::string_view payload) {
+  std::string& buf = arenas[static_cast<std::size_t>(arena)].bytes;
+  // Checked only on failure: a counted check per message would cost more
+  // than the append.
+  if (buf.size() + payload.size() > UINT32_MAX) {
+    LAD_CHECK_MSG(false, "message arena exceeds 4 GiB");
+  }
+  const MsgRef m{static_cast<std::uint32_t>(buf.size()), static_cast<std::uint32_t>(payload.size()),
+                 static_cast<std::uint16_t>(arena), true};
+  buf.append(payload);
+  return m;
+}
+
+void Engine::count_plane_growth(Plane& plane) {
+  // Message-buffer allocation accounting (obs/profile.*): a round whose
+  // payload bytes exceed every earlier round on this plane may grow its
+  // arenas, which keep their capacity otherwise. The plane's total, not
+  // each arena's, is what counts, so the increments are a pure function of
+  // the run and land byte-identical at any thread count.
+  long long bytes = 0;
+  for (const auto& a : plane.arenas) bytes += static_cast<long long>(a.bytes.size());
+  if (bytes <= plane.high_water) return;
+  LAD_TM({
+    obs::core().alloc_msgbuf.add(1);
+    obs::core().alloc_msgbuf_bytes.add(bytes - plane.high_water);
+  });
+  plane.high_water = bytes;
+}
+
+void Engine::deliver_fault_free(RunResult& res) {
+  // Every slot's ref moves to its twin; absent refs overwrite last round's
+  // inbox, so the inbox needs no separate clearing pass.
+  long long messages = 0;
+  long long bytes = 0;
+  for (std::size_t s = 0; s < outbox_.size(); ++s) {
+    MsgRef& out = outbox_[s];
+    inbox_[static_cast<std::size_t>(twin_[s])] = out;
+    if (!out.present) continue;
+    ++messages;
+    bytes += out.len;
+    out.present = false;
+    if (audit_) {
+      inbox_prov_[static_cast<std::size_t>(twin_[s])] = std::move(outbox_prov_[s]);
+      outbox_prov_[s].clear();
+    }
+  }
+  res.messages += messages;
+  res.bytes += bytes;
 }
 
 void Engine::merge_provenance(int v, const std::vector<int>& origins) {
@@ -136,24 +162,46 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
   // span it cannot influence outputs.
   LAD_TM(obs::FlightRecorder::instance().begin_run());
   const int n = g_.n();
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + g_.degree(v);
+  const int chunks = pool_ != nullptr && pool_->threads() > 1 ? pool_->threads() : 1;
+  LAD_CHECK(chunks < UINT16_MAX);
+  {
+    // Per-run set-up: the message plane, the per-node state and the
+    // algorithm's own state.
+    LAD_TM_SPAN(setup_span, "engine.setup", "engine");
+    off_ = g_.raw_adj_off();
+    const auto total_ports = static_cast<std::size_t>(off_[static_cast<std::size_t>(n)]);
+    // Twin table: the two slots of edge e face each other.
+    const auto inc = g_.raw_inc();
+    std::vector<int> first_slot(static_cast<std::size_t>(g_.m()), -1);
+    twin_.resize(total_ports);
+    for (std::size_t s = 0; s < total_ports; ++s) {
+      int& f = first_slot[static_cast<std::size_t>(inc[s])];
+      if (f < 0) {
+        f = static_cast<int>(s);
+      } else {
+        twin_[s] = f;
+        twin_[static_cast<std::size_t>(f)] = static_cast<int>(s);
+      }
+    }
+    inbox_.assign(total_ports, MsgRef{});
+    outbox_.assign(total_ports, MsgRef{});
+    for (auto& plane : planes_) {
+      plane.arenas.resize(static_cast<std::size_t>(chunks) + 1);
+      for (auto& a : plane.arenas) a.bytes.clear();
+      plane.high_water = 0;
+    }
+    write_ = 0;
+    halted_.assign(static_cast<std::size_t>(n), 0);
+    crashed_.assign(static_cast<std::size_t>(n), 0);
+    outputs_.assign(static_cast<std::size_t>(n), "");
+    halt_round_.assign(static_cast<std::size_t>(n), -1);
+    fault_stats_ = {};
+    alg.init(g_);
   }
-  const int total_ports = offsets_[n];
-  const auto& offsets = offsets_;
-
-  inbox_.assign(static_cast<std::size_t>(total_ports), "");
-  inbox_present_.assign(static_cast<std::size_t>(total_ports), 0);
-  outbox_.assign(static_cast<std::size_t>(total_ports), "");
-  outbox_present_.assign(static_cast<std::size_t>(total_ports), 0);
-  halted_.assign(static_cast<std::size_t>(n), 0);
-  crashed_.assign(static_cast<std::size_t>(n), 0);
-  outputs_.assign(static_cast<std::size_t>(n), "");
-  halt_round_.assign(static_cast<std::size_t>(n), -1);
-  fault_stats_ = {};
+  const int fault_arena = chunks;
 
   if (audit_) {
+    LAD_TM_SPAN(audit_span, "engine.audit_init", "engine");
     audit_log_ = {};
     // Initial knowledge: own ID/input plus the IDs of the port-ordered
     // neighbors — exactly the radius-1 ball.
@@ -165,20 +213,19 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
       pv.push_back(v);
       std::sort(pv.begin(), pv.end());
     }
-    inbox_prov_.assign(static_cast<std::size_t>(total_ports), {});
-    outbox_prov_.assign(static_cast<std::size_t>(total_ports), {});
+    inbox_prov_.assign(twin_.size(), {});
+    outbox_prov_.assign(twin_.size(), {});
     dist_.assign(static_cast<std::size_t>(n), {});
     for (int v = 0; v < n; ++v) {
       dist_[static_cast<std::size_t>(v)] = bfs_distances(g_, v);
     }
   }
 
-  alg.init(g_);
-
   // Messages in transit beyond the synchronous one-round latency: delayed
   // originals and stale duplicates, due at the delivery phase of `due`.
   // Insertion order is the serial (sender, port) scan order, so replaying
-  // the queue is deterministic at any thread count.
+  // the queue is deterministic at any thread count. The payload is a copy:
+  // the arena it was sent from is recycled before it lands.
   struct PendingMsg {
     int due = 0;
     int slot = 0;  // receiver inbox slot
@@ -186,6 +233,7 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
     std::vector<int> prov;
   };
   std::vector<PendingMsg> pending;
+  std::string scratch;  // corrupt_message's copy of a payload
 
   RunResult res;
   for (int round = 1; round <= max_rounds; ++round) {
@@ -215,11 +263,9 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
           // per-node state and the node re-converges from scratch.
           crashed_[v] = 0;
           ++fault_stats_.recovered_nodes;
-          for (int s = offsets_[v]; s < offsets_[v + 1]; ++s) {
-            inbox_present_[static_cast<std::size_t>(s)] = 0;
-            inbox_[static_cast<std::size_t>(s)].clear();
-            outbox_present_[static_cast<std::size_t>(s)] = 0;
-            outbox_[static_cast<std::size_t>(s)].clear();
+          for (int s = off_[v]; s < off_[v + 1]; ++s) {
+            inbox_[static_cast<std::size_t>(s)] = MsgRef{};
+            outbox_[static_cast<std::size_t>(s)] = MsgRef{};
             if (audit_) {
               inbox_prov_[static_cast<std::size_t>(s)].clear();
               outbox_prov_[static_cast<std::size_t>(s)].clear();
@@ -240,107 +286,112 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
     // Compute phase. Node steps within a synchronous round are independent
     // (LOCAL-model semantics), and every per-node effect — outbox slots,
     // halt state, the reader-side provenance set — lands in slots owned by
-    // the executing node, so the steps may fan out over a thread pool with
-    // byte-identical results. The pool's static partition keeps the
-    // chunk -> node mapping deterministic; per-chunk accumulators are folded
-    // with order-independent reductions (OR / sum).
+    // the executing node, and its payload bytes in its chunk's own arena,
+    // so the steps may fan out over a thread pool with byte-identical
+    // results. The pool's static partition keeps the chunk -> node mapping
+    // deterministic; per-chunk accumulators are folded with
+    // order-independent reductions (OR / sum).
     bool any_active = false;
     {
       // Phase span for the profiler: node-step compute time on the caller's
       // thread; pool dispatch additionally shows up as pool.chunk spans on
       // the executing workers.
       LAD_TM_SPAN(compute_span, "engine.compute", "engine");
-      auto step_nodes = [&](int begin, int end, bool& active) {
+      auto step_nodes = [&](int begin, int end, int arena, bool& active) {
         for (int v = begin; v < end; ++v) {
           if (halted_[v] || crashed_[v]) continue;
           active = true;
-          NodeCtx ctx(*this, v, round);
+          NodeCtx ctx(*this, v, round, arena);
           alg.round(ctx);
         }
       };
-      if (pool_ != nullptr && pool_->threads() > 1) {
-        std::vector<char> chunk_active(static_cast<std::size_t>(pool_->threads()), 0);
+      if (chunks > 1) {
+        std::vector<char> chunk_active(static_cast<std::size_t>(chunks), 0);
         pool_->parallel_for(n, [&](int begin, int end, int c) {
           bool active = false;
-          step_nodes(begin, end, active);
+          step_nodes(begin, end, c, active);
           chunk_active[static_cast<std::size_t>(c)] = active ? 1 : 0;
         });
         for (const char a : chunk_active) any_active = any_active || a != 0;
       } else {
-        step_nodes(0, n, any_active);
+        step_nodes(0, n, 0, any_active);
       }
     }
     if (!any_active) break;
     res.rounds = round;
     if (audit_) audit_round(round);
 
-    // Deliver: a message sent by v on port p arrives at u = nb(v)[p] on
-    // u's port q = port_of(u, v). The span covers the rest of the round
-    // body — delivery plus the late-delivery replay below — and closes
-    // before the round span (reverse declaration order), so the profiler
-    // attributes both to the message-exchange phase.
+    // Deliver: a message sent on slot s arrives on its twin slot. The span
+    // covers the rest of the round body — delivery, the late-delivery
+    // replay and the plane swap — and closes before the round span
+    // (reverse declaration order), so the profiler attributes all of it to
+    // the message-exchange phase.
     LAD_TM_SPAN(deliver_span, "engine.deliver", "engine");
-    std::fill(inbox_present_.begin(), inbox_present_.end(), 0);
-    for (int v = 0; v < n; ++v) {
-      const auto nb = g_.neighbors(v);
-      for (int p = 0; p < static_cast<int>(nb.size()); ++p) {
-        const int s = offsets[v] + p;
-        if (!outbox_present_[s]) continue;
-        const int u = nb[p];
-        if (faults_ != nullptr && faults_->drop_message(round, v, u)) {
-          // A drop only removes information, so provenance stays sound.
-          ++fault_stats_.dropped;
-          outbox_present_[s] = 0;
-          outbox_[s].clear();
-          if (audit_) outbox_prov_[static_cast<std::size_t>(s)].clear();
-          continue;
-        }
-        const int q = g_.port_of(u, v);
-        LAD_ASSERT_MSG(q >= 0, "delivery to a non-neighbor port");
-        const int t = offsets[u] + q;
-        const int delay = faults_ != nullptr ? faults_->delay_rounds(round, v, u) : 0;
-        if (delay > 0) {
-          // Held in transit: accounted (messages/bytes) at actual delivery.
-          // The payload keeps the sender's tag; reading it later only
-          // increases the round, so ball containment still holds.
-          ++fault_stats_.delayed;
-          PendingMsg pm;
-          pm.due = round + delay;
-          pm.slot = t;
-          pm.payload = std::move(outbox_[s]);
-          if (audit_) pm.prov = std::move(outbox_prov_[static_cast<std::size_t>(s)]);
-          pending.push_back(std::move(pm));
-          outbox_present_[s] = 0;
-          outbox_[s].clear();
-          if (audit_) outbox_prov_[static_cast<std::size_t>(s)].clear();
-          continue;
-        }
-        res.messages += 1;
-        res.bytes += static_cast<long long>(outbox_[s].size());
-        inbox_[t] = std::move(outbox_[s]);
-        inbox_present_[t] = 1;
-        outbox_present_[s] = 0;
-        outbox_[s].clear();
-        if (faults_ != nullptr && faults_->corrupt_message(round, v, u, inbox_[t])) {
-          ++fault_stats_.corrupted;
-        }
-        if (audit_) {
-          // A corrupted payload keeps the sender's tag: that over-approximates
-          // what the reader can learn, so ball containment still holds.
-          inbox_prov_[static_cast<std::size_t>(t)] =
-              std::move(outbox_prov_[static_cast<std::size_t>(s)]);
-          outbox_prov_[static_cast<std::size_t>(s)].clear();
-        }
-        if (faults_ != nullptr && faults_->duplicate_message(round, v, u)) {
-          // A stale copy of the (possibly corrupted) delivered payload
-          // arrives again next round; same provenance tag, so sound.
-          ++fault_stats_.duplicated;
-          PendingMsg pm;
-          pm.due = round + 1;
-          pm.slot = t;
-          pm.payload = inbox_[t];
-          if (audit_) pm.prov = inbox_prov_[static_cast<std::size_t>(t)];
-          pending.push_back(std::move(pm));
+    Plane& plane = planes_[write_];
+    if (faults_ == nullptr) {
+      deliver_fault_free(res);
+    } else {
+      // One serial pass in (sender, port) order: the fault model's answers
+      // and the pending queue's order do not depend on the thread count.
+      for (int v = 0; v < n; ++v) {
+        const auto nb = g_.neighbors(v);
+        for (int p = 0; p < static_cast<int>(nb.size()); ++p) {
+          const auto s = static_cast<std::size_t>(off_[v] + p);
+          const auto t = static_cast<std::size_t>(twin_[s]);
+          inbox_[t] = MsgRef{};
+          const MsgRef out = outbox_[s];
+          if (!out.present) continue;
+          outbox_[s].present = false;
+          const int u = nb[p];
+          if (faults_->drop_message(round, v, u)) {
+            // A drop only removes information, so provenance stays sound.
+            ++fault_stats_.dropped;
+            if (audit_) outbox_prov_[s].clear();
+            continue;
+          }
+          const int delay = faults_->delay_rounds(round, v, u);
+          if (delay > 0) {
+            // Held in transit: accounted (messages/bytes) at actual
+            // delivery. The payload keeps the sender's tag; reading it later
+            // only increases the round, so ball containment still holds.
+            ++fault_stats_.delayed;
+            PendingMsg pm;
+            pm.due = round + delay;
+            pm.slot = static_cast<int>(t);
+            pm.payload = plane.view(out);
+            if (audit_) pm.prov = std::move(outbox_prov_[s]);
+            pending.push_back(std::move(pm));
+            if (audit_) outbox_prov_[s].clear();
+            continue;
+          }
+          res.messages += 1;
+          res.bytes += out.len;
+          MsgRef in = out;
+          // The model mutates a copy: the slice may be shared by the
+          // sender's other ports. A changed payload moves to the fault arena.
+          const std::string_view sent = plane.view(out);
+          scratch.assign(sent);
+          if (faults_->corrupt_message(round, v, u, scratch)) ++fault_stats_.corrupted;
+          if (scratch != sent) in = plane.append(fault_arena, scratch);
+          inbox_[t] = in;
+          if (audit_) {
+            // A corrupted payload keeps the sender's tag: that over-
+            // approximates what the reader can learn, so ball containment
+            // still holds.
+            inbox_prov_[t] = std::move(outbox_prov_[s]);
+            outbox_prov_[s].clear();
+          }
+          if (faults_->duplicate_message(round, v, u)) {
+            // A stale copy of the (possibly corrupted) delivered payload
+            // arrives again next round; same provenance tag, so sound.
+            ++fault_stats_.duplicated;
+            PendingMsg pm;
+            pm.due = round + 1;
+            pm.slot = static_cast<int>(t);
+            pm.payload = plane.view(in);
+            if (audit_) pm.prov = inbox_prov_[t];
+            pending.push_back(std::move(pm));
+          }
         }
       }
     }
@@ -355,18 +406,24 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
           still_pending.push_back(std::move(pm));
           continue;
         }
-        if (inbox_present_[pm.slot]) {
+        const auto t = static_cast<std::size_t>(pm.slot);
+        if (inbox_[t].present) {
           ++fault_stats_.stale_discarded;
           continue;
         }
         res.messages += 1;
         res.bytes += static_cast<long long>(pm.payload.size());
-        inbox_[static_cast<std::size_t>(pm.slot)] = std::move(pm.payload);
-        inbox_present_[static_cast<std::size_t>(pm.slot)] = 1;
-        if (audit_) inbox_prov_[static_cast<std::size_t>(pm.slot)] = std::move(pm.prov);
+        inbox_[t] = plane.append(fault_arena, pm.payload);
+        if (audit_) inbox_prov_[t] = std::move(pm.prov);
       }
       pending.swap(still_pending);
     }
+    // The plane just delivered becomes the read plane; nothing references
+    // the old read plane any more, so it is cleared (capacity kept) and
+    // takes the next round's sends.
+    count_plane_growth(plane);
+    write_ ^= 1;
+    for (auto& a : planes_[write_].arenas) a.bytes.clear();
     // One flight-recorder sample per completed round: the recorder turns
     // these cumulative per-run totals into per-round deltas (deterministic
     // slice) and drains the pool's wait window (measured slice).
@@ -377,10 +434,13 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
         fault_stats_.recovered_nodes));
   }
 
-  res.all_halted = std::all_of(halted_.begin(), halted_.end(), [](char h) { return h != 0; });
-  res.outputs = outputs_;
-  res.halt_round = halt_round_;
-  if (faults_ != nullptr) res.crashed = crashed_;
+  {
+    LAD_TM_SPAN(collect_span, "engine.collect", "engine");
+    res.all_halted = std::all_of(halted_.begin(), halted_.end(), [](char h) { return h != 0; });
+    res.outputs = std::move(outputs_);
+    res.halt_round = std::move(halt_round_);
+    if (faults_ != nullptr) res.crashed = std::move(crashed_);
+  }
 
   // Message/round/fault accounting, folded once per run from the serial
   // counters above — the totals are a pure function of the run, so they are

@@ -18,10 +18,30 @@
 // provenance lies inside its radius-`round` ball — the LOCAL-model analogue
 // of a race detector. See local/audit.hpp for the complementary
 // indistinguishability audit that catches algorithms bypassing this API.
+//
+// Message plane. Ports are numbered like Graph::raw_adj(): node v's port p
+// is slot raw_adj_off()[v] + p. Each slot of the outbox and of the inbox
+// holds a 12-byte MsgRef (arena, offset, length, present); the payload
+// bytes live in byte arenas: a plane has one arena per pool chunk
+// (chunk c is its only writer during compute, so nothing is shared) plus
+// one fault arena written by the serial delivery pass. There are two
+// planes: compute appends to the write plane while the nodes read the
+// other; after delivery the planes swap and the old read plane is cleared
+// with its capacity kept. `broadcast` copies its payload once and points
+// every port at that slice; a slice never changes once sent. Delivery
+// copies each ref to the twin slot (the same edge seen from the receiver),
+// from a table built in O(m) per run. A payload the fault model changes,
+// and every delayed or duplicated copy that lands late, is copied into the
+// fault arena.
+//
+// Lifetime rule: the std::string_view that received() returns is valid
+// until the end of the node's step. Copy what must outlive it.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -45,15 +65,17 @@ class NodeCtx {
   /// ID of the neighbor on the given port (ports are ID-sorted).
   NodeId neighbor_id(int port) const;
 
-  /// Message received on `port` this round ("" if none).
-  const std::string& received(int port) const;
+  /// Message received on `port` this round ("" if none). The view is
+  /// valid until the end of this node's step.
+  std::string_view received(int port) const;
   bool has_message(int port) const;
 
-  /// Sends `payload` to the neighbor on `port`, delivered next round.
-  void send(int port, std::string payload);
+  /// Sends `payload` to the neighbor on `port`, delivered next round. A
+  /// second send on the same port in one round replaces the first.
+  void send(int port, std::string_view payload);
 
-  /// Sends the same payload on all ports.
-  void broadcast(const std::string& payload);
+  /// Sends the same payload on all ports (stored once).
+  void broadcast(std::string_view payload);
 
   /// Terminates this node with the given output; `round()` is not called on
   /// it again.
@@ -61,10 +83,12 @@ class NodeCtx {
 
  private:
   friend class Engine;
-  NodeCtx(Engine& eng, int v, int round) : eng_(eng), v_(v), round_(round) {}
+  NodeCtx(Engine& eng, int v, int round, int arena)
+      : eng_(eng), v_(v), round_(round), arena_(arena) {}
   Engine& eng_;
   int v_;
   int round_;
+  int arena_;  // the write-plane arena of this node's pool chunk
 };
 
 /// A distributed algorithm: `round` is invoked once per node per round.
@@ -235,10 +259,11 @@ class Engine {
   /// nullptr to restore serial execution). Node steps within a synchronous
   /// round are independent by definition of the model, and every per-node
   /// effect (outbox slots, halt state, provenance set) lands in slots owned
-  /// by that node, so results are byte-identical to serial execution at any
-  /// thread count. Requirement on algorithms: round(ctx) must touch only
-  /// state belonging to ctx.node() (every SyncAlgorithm in this repository
-  /// keeps its state in vectors indexed by ctx.node(), which qualifies).
+  /// by that node and its payload bytes in its chunk's own arena, so
+  /// results are byte-identical to serial execution at any thread count.
+  /// Requirement on algorithms: round(ctx) must touch only state belonging
+  /// to ctx.node() (every SyncAlgorithm in this repository keeps its state
+  /// in vectors indexed by ctx.node(), which qualifies).
   /// Message delivery and the audit pass stay serial — they are the
   /// synchronization barrier between rounds.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
@@ -248,19 +273,49 @@ class Engine {
 
  private:
   friend class NodeCtx;
+
+  /// One port slot of the outbox or inbox: a slice of a plane's arena.
+  struct MsgRef {
+    std::uint32_t off = 0;
+    std::uint32_t len = 0;
+    std::uint16_t arena = 0;
+    bool present = false;
+  };
+
+  /// One arena per cache line: chunks append to theirs concurrently.
+  struct alignas(64) Arena {
+    std::string bytes;
+  };
+
+  /// The payload bytes of one round: one arena per pool chunk, then the
+  /// fault arena. `high_water` is the most bytes the plane held in a round
+  /// of this run (allocation accounting, obs/profile.*).
+  struct Plane {
+    std::vector<Arena> arenas;
+    long long high_water = 0;
+
+    MsgRef append(int arena, std::string_view payload);
+    std::string_view view(MsgRef m) const {
+      return {arenas[m.arena].bytes.data() + m.off, m.len};
+    }
+  };
+
   void merge_provenance(int v, const std::vector<int>& origins);
   void audit_round(int round);
+  void deliver_fault_free(RunResult& res);
+  void count_plane_growth(Plane& plane);
 
   const Graph& g_;
-  std::vector<std::string> inbox_;      // flattened: adj offset indexing
-  std::vector<char> inbox_present_;
-  std::vector<std::string> outbox_;
-  std::vector<char> outbox_present_;
+  std::span<const int> off_;  // CSR port offsets (Graph::raw_adj_off), size n+1
+  std::vector<int> twin_;     // per slot: the slot of the same edge at the other end
+  std::vector<MsgRef> inbox_;
+  std::vector<MsgRef> outbox_;
+  Plane planes_[2];
+  int write_ = 0;  // planes_[write_] takes this round's sends; the other is read
   std::vector<char> halted_;
   std::vector<char> crashed_;
   std::vector<std::string> outputs_;
   std::vector<int> halt_round_;
-  std::vector<int> offsets_;  // CSR port offsets, size n+1
 
   const EngineFaultModel* faults_ = nullptr;
   EngineFaultStats fault_stats_;
@@ -275,10 +330,30 @@ class Engine {
   std::vector<std::vector<int>> dist_;  // all-pairs distances (audit only)
 
   int slot(int v, int port) const {
-    LAD_ASSERT(v >= 0 && v < static_cast<int>(offsets_.size()) - 1);
-    LAD_ASSERT(port >= 0 && offsets_[v] + port < offsets_[v + 1]);
-    return offsets_[v] + port;
+    LAD_ASSERT(v >= 0 && v < static_cast<int>(off_.size()) - 1);
+    LAD_ASSERT(port >= 0 && off_[v] + port < off_[v + 1]);
+    return off_[v] + port;
   }
 };
+
+// The per-message accessors are inline: they run once per port per round.
+
+inline std::string_view NodeCtx::received(int port) const {
+  const int s = eng_.slot(v_, port);
+  const Engine::MsgRef m = eng_.inbox_[static_cast<std::size_t>(s)];
+  if (!m.present) return {};
+  if (eng_.audit_) eng_.merge_provenance(v_, eng_.inbox_prov_[s]);
+  return eng_.planes_[eng_.write_ ^ 1].view(m);
+}
+
+inline int NodeCtx::degree() const { return eng_.off_[v_ + 1] - eng_.off_[v_]; }
+
+inline bool NodeCtx::has_message(int port) const {
+  const int s = eng_.slot(v_, port);
+  const bool present = eng_.inbox_[static_cast<std::size_t>(s)].present;
+  // The presence bit is information originating at the sender; taint it too.
+  if (present && eng_.audit_) eng_.merge_provenance(v_, eng_.inbox_prov_[s]);
+  return present;
+}
 
 }  // namespace lad

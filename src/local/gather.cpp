@@ -81,7 +81,7 @@ std::string encode(const std::vector<NodeId>& nodes, const std::vector<IdEdge>& 
 // each run starts. Throws ContractViolation, before reading past the
 // header, unless the length is the one the header implies; and unless both
 // runs are strictly ascending, with positive IDs and lo < hi.
-void decode_append(const std::string& s, std::vector<NodeId>& nodes,
+void decode_append(std::string_view s, std::vector<NodeId>& nodes,
                    std::vector<std::size_t>& node_runs, std::vector<IdEdge>& edges,
                    std::vector<std::size_t>& edge_runs) {
   if (s.size() < kHeaderBytes) {
@@ -404,7 +404,7 @@ class BfsAlgorithm : public SyncAlgorithm {
     if (d == kUnreachable) {
       for (int p = 0; p < ctx.degree(); ++p) {
         if (!ctx.has_message(p)) continue;
-        const int du = std::stoi(ctx.received(p));
+        const int du = std::stoi(std::string(ctx.received(p)));
         if (d == kUnreachable || du + 1 < d) {
           d = du + 1;
           out_.parent[static_cast<std::size_t>(v)] = g_->neighbors(v)[p];

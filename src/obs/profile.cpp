@@ -69,7 +69,7 @@ const std::vector<std::string>& phase_taxonomy() {
 std::string phase_of_span(const std::string& span_name) {
   // The mapping is total over span_name_catalog(); tests pin that every
   // catalog entry lands in a non-"other" phase unless listed as harness
-  // scaffolding (engine.run/round, campaign/chaos wrappers, pool chunks
+  // scaffolding (engine.run/round/collect, campaign/chaos wrappers, pool chunks
   // outside compute are impossible — chunks only run compute work).
   if (has_prefix(span_name, "gather.")) return "gather";
   if (span_name == "engine.compute" || span_name == "pool.chunk" ||
@@ -77,9 +77,10 @@ std::string phase_of_span(const std::string& span_name) {
       has_prefix(span_name, "pipeline.decode_tolerant/")) {
     return "compute";
   }
-  if (span_name == "engine.deliver") return "message-exchange";
+  if (span_name == "engine.deliver" || span_name == "engine.setup") return "message-exchange";
   if (span_name == "engine.faults") return "fault-transition";
-  if (has_prefix(span_name, "pipeline.verify/") || has_prefix(span_name, "guarded.decode/")) {
+  if (span_name == "engine.audit_init" || has_prefix(span_name, "pipeline.verify/") ||
+      has_prefix(span_name, "guarded.decode/")) {
     return "verify";
   }
   return "other";

@@ -199,9 +199,10 @@ CoreMetrics& core() {
         r.counter("lad_campaign_faults_injected_total", "faults injected across campaign trials"),
         r.counter("lad_chaos_cells_total", "chaos-matrix cells executed (campaign runs)"),
         r.counter("lad_alloc_msgbuf_total",
-                  "per-round message payloads that outgrew SSO (heap allocations)"),
+                  "message-plane arena growths: rounds whose payload bytes exceeded every "
+                  "earlier round on that plane (growths)"),
         r.counter("lad_alloc_msgbuf_bytes_total",
-                  "bytes of heap-allocated per-round message payloads (bytes)"),
+                  "bytes the message-plane arenas grew by, i.e. payload bytes reserved (bytes)"),
         r.counter("lad_alloc_gather_total",
                   "ball-gather delta payloads built, one per broadcast (allocations)"),
         r.counter("lad_alloc_gather_bytes_total", "bytes of ball-gather delta payloads (bytes)"),
@@ -240,8 +241,9 @@ const std::vector<std::string>& span_name_catalog() {
   // names (prefix entries end in '/'). `lad lint` rule obs-span-name
   // checks span literals in instrumented code against this list.
   static const std::vector<std::string> kSpans = {
-      "engine.run",        "engine.round",      "engine.faults",
-      "engine.compute",    "engine.deliver",    "parallel_engine.run",
+      "engine.run",        "engine.setup",      "engine.audit_init",
+      "engine.round",      "engine.faults",     "engine.compute",
+      "engine.deliver",    "engine.collect",
       "gather.balls",      "gather.views",      "pool.chunk",
       "campaign.trial",    "chaos.cell",        "guarded.decode/",
       "pipeline.encode/",  "pipeline.decode/",  "pipeline.decode_tolerant/",

@@ -234,11 +234,12 @@ struct CoreMetrics {
   Counter& chaos_cells;
 
   // Allocation accounting for the profiler (obs/profile.*): heap traffic
-  // on the two hot paths ROADMAP item 2 targets — per-round message
-  // buffers that outgrow SSO (local/engine.cpp) and serialized ball
-  // gathers (local/gather.cpp). Counted at the call sites, not via
-  // allocator hooks, so the multisets are thread-count-invariant and the
-  // counts stay under the §8 byte-identity determinism contract.
+  // on the two hot paths ROADMAP item 2 targets — growth of the engine's
+  // message-plane arenas (local/engine.cpp, counted per plane, not per
+  // arena) and serialized ball gathers (local/gather.cpp). Counted at the
+  // call sites, not via allocator hooks, so the multisets are
+  // thread-count-invariant and the counts stay under the §8 byte-identity
+  // determinism contract.
   Counter& alloc_msgbuf;
   Counter& alloc_msgbuf_bytes;
   Counter& alloc_gather;

@@ -141,8 +141,8 @@ struct RoundSample {
   long long bytes = 0;        // payload bytes delivered this round
   long long faults = 0;       // engine faults injected this round
   long long repairs = 0;      // crashed nodes recovered this round
-  long long allocs = 0;       // message buffers allocated this round
-  long long alloc_bytes = 0;  // bytes in those buffers
+  long long allocs = 0;       // message-plane arena growths this round
+  long long alloc_bytes = 0;  // bytes those arenas grew by
 
   // Measured slice (scheduling-dependent; never diffed exactly).
   double wall_ms = 0;        // round wall time

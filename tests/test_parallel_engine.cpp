@@ -13,7 +13,6 @@
 #include "graph/generators.hpp"
 #include "local/engine.hpp"
 #include "local/gather.hpp"
-#include "local/parallel_engine.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lad {
@@ -45,7 +44,9 @@ class Flood final : public SyncAlgorithm {
   void round(NodeCtx& ctx) override {
     auto& k = known_[static_cast<std::size_t>(ctx.node())];
     for (int p = 0; p < ctx.degree(); ++p) {
-      if (ctx.has_message(p)) k += "|" + ctx.received(p);
+      if (!ctx.has_message(p)) continue;
+      k += '|';
+      k += ctx.received(p);
     }
     if (ctx.round_number() > rounds_) {
       ctx.halt(k);
@@ -76,7 +77,9 @@ TEST(ParallelEngine, ByteIdenticalToSerialAcrossThreadCounts) {
     const auto want = run_signature(serial.run(serial_alg, 8));
     for (const int t : kThreadCounts) {
       Flood alg(3);
-      ParallelEngine eng(g, t);
+      ThreadPool pool(t);
+      Engine eng(g);
+      eng.set_thread_pool(&pool);
       const auto got = run_signature(eng.run(alg, 8));
       EXPECT_EQ(got, want) << "n=" << g.n() << " threads=" << t;
     }
@@ -98,7 +101,9 @@ TEST(ParallelEngine, FaultModelParityAcrossThreadCounts) {
     const auto want_stats = serial.fault_stats();
     for (const int t : kThreadCounts) {
       Flood alg(3);
-      ParallelEngine eng(g, t);
+      ThreadPool pool(t);
+      Engine eng(g);
+      eng.set_thread_pool(&pool);
       eng.set_fault_model(&model);
       const auto got = run_signature(eng.run(alg, 8));
       EXPECT_EQ(got, want) << "n=" << g.n() << " threads=" << t;
@@ -120,7 +125,9 @@ TEST(ParallelEngine, AuditLogParityAcrossThreadCounts) {
 
   for (const int t : kThreadCounts) {
     Flood alg(3);
-    ParallelEngine eng(g, t);
+    ThreadPool pool(t);
+    Engine eng(g);
+    eng.set_thread_pool(&pool);
     eng.enable_audit(/*fail_fast=*/false);
     eng.run(alg, 8);
     const auto& got = eng.audit_log();
@@ -131,6 +138,86 @@ TEST(ParallelEngine, AuditLogParityAcrossThreadCounts) {
       EXPECT_EQ(got.per_round[i].max_set_size, want.per_round[i].max_set_size);
       EXPECT_EQ(got.per_round[i].max_radius, want.per_round[i].max_radius);
     }
+  }
+}
+
+// FNV-1a over the bytes of a signature string.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Every field of an echo run that the message plane can influence: the
+// run result, the applied faults and the provenance log.
+std::uint64_t echo_run_digest(const Engine& eng, const RunResult& r) {
+  std::ostringstream os;
+  os << run_signature(r) << '\n';
+  const auto& f = eng.fault_stats();
+  os << f.dropped << ',' << f.corrupted << ',' << f.duplicated << ',' << f.delayed << ','
+     << f.stale_discarded << ',' << f.crashed_nodes << ',' << f.recovered_nodes << '\n';
+  for (const auto& pr : eng.audit_log().per_round) {
+    os << pr.round << ',' << pr.active_nodes << ',' << pr.max_set_size << ',' << pr.avg_set_size
+       << ',' << pr.max_radius << ';';
+  }
+  os << eng.audit_log().violations.size();
+  return fnv1a(os.str());
+}
+
+TEST(EngineUnderFaults, RunResultDigestIsPinned) {
+  // Recorded with the per-slot string inbox/outbox that the arena message
+  // plane replaced: every fault kind on, audit on, at 1, 2 and 4 threads.
+  faults::EngineFaultSpec spec;
+  spec.message_drop_prob = 0.05;
+  spec.message_corrupt_prob = 0.05;
+  spec.message_duplicate_prob = 0.1;
+  spec.message_delay_prob = 0.1;
+  spec.max_delay_rounds = 2;
+  spec.crash_fraction = 0.05;
+  spec.crash_recovery_rounds = 2;
+  const faults::HashedEngineFaults model(17, spec);
+  const Graph g = make_grid(12, 12, IdMode::kRandomDense, 5);
+  std::vector<std::string> digests;
+  for (int v = 0; v < g.n(); ++v) digests.push_back("d" + std::to_string(g.id(v) * 7919 % 1000));
+  for (const int t : {1, 2, 4}) {
+    ThreadPool pool(t);
+    Engine eng(g);
+    eng.set_fault_model(&model);
+    eng.set_thread_pool(&pool);
+    eng.enable_audit(/*fail_fast=*/false);
+    faults::EchoVerify echo(digests, 3);
+    const auto run = eng.run(echo, 3 + 2);
+    EXPECT_GT(eng.fault_stats().corrupted, 0);
+    EXPECT_GT(eng.fault_stats().delayed, 0);
+    EXPECT_GT(eng.fault_stats().duplicated, 0);
+    EXPECT_GT(eng.fault_stats().stale_discarded, 0);
+    EXPECT_GT(eng.fault_stats().recovered_nodes, 0);
+    EXPECT_EQ(echo_run_digest(eng, run), 0xa57191d5870a4cc2ULL) << "threads=" << t;
+
+    // Digests longer than 8 bytes: EchoVerify keeps those first copies on
+    // the heap instead of inline.
+    std::vector<std::string> long_digests;
+    for (const auto& d : digests) long_digests.push_back("digest-of-node-" + d);
+    Engine long_eng(g);
+    long_eng.set_fault_model(&model);
+    long_eng.set_thread_pool(&pool);
+    long_eng.enable_audit(/*fail_fast=*/false);
+    faults::EchoVerify long_echo(long_digests, 3);
+    const auto long_run = long_eng.run(long_echo, 3 + 2);
+    EXPECT_EQ(echo_run_digest(long_eng, long_run), 0xd70f98d20890939bULL) << "threads=" << t;
+
+    // Flooding forwards whatever it received, corrupted or late copies
+    // included, so a wrong byte anywhere in the plane spreads to outputs.
+    Engine flood_eng(g);
+    flood_eng.set_fault_model(&model);
+    flood_eng.set_thread_pool(&pool);
+    flood_eng.enable_audit(/*fail_fast=*/false);
+    Flood flood(4);
+    const auto flood_run = flood_eng.run(flood, 8);
+    EXPECT_EQ(echo_run_digest(flood_eng, flood_run), 0xad389fd53345c0ccULL) << "threads=" << t;
   }
 }
 

@@ -124,6 +124,9 @@ TEST(Profile, ExplicitSpanMappings) {
   EXPECT_EQ(obs::phase_of_span("pipeline.decode/decompress"), "compute");
   EXPECT_EQ(obs::phase_of_span("pipeline.decode_tolerant/orientation"), "compute");
   EXPECT_EQ(obs::phase_of_span("engine.deliver"), "message-exchange");
+  EXPECT_EQ(obs::phase_of_span("engine.setup"), "message-exchange");
+  EXPECT_EQ(obs::phase_of_span("engine.audit_init"), "verify");
+  EXPECT_EQ(obs::phase_of_span("engine.collect"), "other");
   EXPECT_EQ(obs::phase_of_span("engine.faults"), "fault-transition");
   EXPECT_EQ(obs::phase_of_span("pipeline.verify/orientation"), "verify");
   EXPECT_EQ(obs::phase_of_span("guarded.decode/orientation"), "verify");
